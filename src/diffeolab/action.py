@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .generators import GeneratorSet, letter_bounds
+from .generators import GeneratorSet, letter_bounds, letter_value_deriv
 from .words import Word, level_word, sphere_levels
 
 #: Orbit points may leave [0, 1] by at most this much before it is an error.
@@ -82,8 +82,7 @@ def apply_word(w: Word, x: float, S: GeneratorSet) -> OrbitTrace:
     derivs = []
     clamped = False
     for letter in reversed(w.letters):
-        g = S[letter.gen]
-        y, d = (g.value(y), g.deriv(y)) if letter.sign > 0 else _inv_step(g, y)
+        y, d = letter_value_deriv(S[letter.gen], letter.sign, y)
         if y < 0.0 or y > 1.0:
             if y < -CLAMP_TOL or y > 1.0 + CLAMP_TOL:
                 raise DomainError(f"orbit left [0,1] by more than {CLAMP_TOL}")
@@ -95,11 +94,6 @@ def apply_word(w: Word, x: float, S: GeneratorSet) -> OrbitTrace:
                       letter_derivs=tuple(derivs),
                       chain_product=_pairwise_product(derivs) if derivs else 1.0,
                       clamped=clamped)
-
-
-def _inv_step(g, y):
-    pre = g.inverse(y)
-    return pre, 1.0 / g.deriv(pre)
 
 
 def word_values(w: Word, xs: np.ndarray, S: GeneratorSet) -> np.ndarray:

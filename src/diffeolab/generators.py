@@ -24,7 +24,9 @@ Maps are immutable after construction and all evaluations are pure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +35,18 @@ from .errors import ConstructionError, DomainError, NumericError
 
 #: Absolute tolerance accepted from the numeric inverse (splines, polybump).
 INVERSE_TOL = 1e-12
+
+#: Steps of the numeric inverse: bisection on the bracket, then Newton polish.
+BISECT_STEPS = 22
+NEWTON_STEPS = 4
+
+#: Points per block of the array spline inverse.  Blocking keeps its
+#: temporaries at a few arrays of this length whatever the input size.
+INVERSE_BLOCK = 8192
+
+#: Arrays up to this size are inverted point by point on the scalar path,
+#: which is faster than the ~400 numpy calls of one block below ~40 points.
+SCALAR_INVERSE_MAX = 32
 
 
 class Letter(NamedTuple):
@@ -55,8 +69,17 @@ def _as_array(x):
 
 
 def _check_domain(a, lo=0.0, hi=1.0, what="x"):
-    if np.any(a < lo) or np.any(a > hi):
+    # Written as "all inside" so that NaN fails it.
+    if not (np.all(a >= lo) and np.all(a <= hi)):
         raise DomainError(f"{what} outside [{lo}, {hi}]")
+
+
+def _check_scalar(x, what="x") -> float:
+    """``_check_domain`` for one Python number; returns it as a float."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"{what} outside [0.0, 1.0]")
+    return x
 
 
 @dataclass(frozen=True)
@@ -68,6 +91,12 @@ class _SplineData:
     ms: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
+
+    @cached_property
+    def floats(self) -> tuple:
+        """(xs, ys, ms, c2, c3) as tuples of Python floats, for scalar calls."""
+        return tuple(tuple(a.tolist())
+                     for a in (self.xs, self.ys, self.ms, self.c2, self.c3))
 
 
 def _fritsch_carlson_slopes(xs, ys, end_slopes, pins=None):
@@ -163,19 +192,28 @@ class GeneratorMap:
 
     # -- evaluation ---------------------------------------------------------
 
+    # Python numbers on a spline take a pure-float path that does the same
+    # arithmetic as the array path, so both give bitwise-equal results.
+
     def value(self, x):
+        if self._spline is not None and isinstance(x, (float, int)):
+            return _spline_value_scalar(self._spline, _check_scalar(x))
         a, scalar = _as_array(x)
         _check_domain(a)
         v = self._value(a)
         return float(v) if scalar else v
 
     def deriv(self, x):
+        if self._spline is not None and isinstance(x, (float, int)):
+            return _spline_deriv_scalar(self._spline, _check_scalar(x))
         a, scalar = _as_array(x)
         _check_domain(a)
         v = self._deriv(a)
         return float(v) if scalar else v
 
     def inverse(self, y):
+        if self._spline is not None and isinstance(y, (float, int)):
+            return _spline_inverse_scalar(self._spline, _check_scalar(y, "y"))
         a, scalar = _as_array(y)
         _check_domain(a, what="y")
         v = self._inverse(a)
@@ -280,19 +318,74 @@ def _spline_deriv(d: _SplineData, a):
 
 
 def _spline_inverse(d: _SplineData, y):
+    """Inverse of the spline, point by point on small inputs, else by blocks."""
+    flat = y.reshape(-1)
+    if flat.size <= SCALAR_INVERSE_MAX:
+        out = np.array([_spline_inverse_scalar(d, t) for t in flat.tolist()],
+                       dtype=float)
+    else:
+        out = np.empty(flat.shape)
+        for k in range(0, flat.size, INVERSE_BLOCK):
+            out[k:k + INVERSE_BLOCK] = _spline_inverse_block(
+                d, flat[k:k + INVERSE_BLOCK])
+    return out.reshape(y.shape)
+
+
+def _spline_inverse_block(d: _SplineData, y):
+    """Bisection and Newton on the one segment whose value range holds y.
+
+    Each step evaluates that segment's cubic with the expressions of
+    ``_spline_value`` / ``_spline_deriv``, so the iterates are bitwise those
+    of ``_invert_monotone`` run on the whole spline.  At the segment's right
+    knot x1 those functions switch to the next segment, where s == 0 gives
+    exactly that knot's value y1 and slope m1.  Newton uses them there; in
+    bisection a midpoint at x1 never counts as below, since y < y1 on every
+    segment but the last, and y <= y1 on that one.
+    """
     i = np.clip(np.searchsorted(d.ys, y, side="right") - 1, 0, len(d.ys) - 2)
-    lo = d.xs[i].copy()
-    hi = d.xs[i + 1].copy()
-    x = _invert_monotone(lambda t: _spline_value(d, t),
-                         lambda t: _spline_deriv(d, t), y, lo, hi)
+    x0, x1, y0, y1 = d.xs[i], d.xs[i + 1], d.ys[i], d.ys[i + 1]
+    m0, m1, c2, c3 = d.ms[i], d.ms[i + 1], d.c2[i], d.c3[i]
+    s, v = np.empty_like(y), np.empty_like(y)
+    lo, hi = x0, x1
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        np.subtract(mid, x0, out=s)
+        below = (_cubic(s, y0, m0, c2, c3, out=v) < y) & (mid != x1)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    c2x2, c3x3 = 2 * c2, 3 * c3
+    for _ in range(NEWTON_STEPS):
+        np.subtract(x, x0, out=s)
+        at_knot = x == x1
+        v = np.where(at_knot, y1, _cubic(s, y0, m0, c2, c3, out=v))
+        dv = np.where(at_knot, m1, m0 + s * (c2x2 + c3x3 * s))
+        x = np.clip(x - (v - y) / dv, lo, hi)
+    _check_residual(np.abs(_spline_value(d, x) - y))
     # Exact pinned-knot hits must come back exactly.
-    hit = y == d.ys[i]
-    x = np.where(hit, d.xs[i], x)
+    x = np.where(y == y0, x0, x)
     return np.where(y == d.ys[-1], d.xs[-1], x)
 
 
+def _cubic(s, y0, m0, c2, c3, out):
+    """``y0 + s*(m0 + s*(c2 + s*c3))``, rounded as in ``_spline_value``, into out."""
+    np.multiply(s, c3, out=out)
+    out += c2
+    out *= s
+    out += m0
+    out *= s
+    out += y0
+    return out
+
+
+def _check_residual(resid):
+    # Written as "all within" so that NaN fails it.
+    if not np.all(resid <= INVERSE_TOL):
+        raise NumericError(f"inverse did not converge (residual {np.max(resid):g})")
+
+
 def _invert_monotone(value_fn, deriv_fn, y, lo, hi,
-                     bisect_steps=22, newton_steps=4):
+                     bisect_steps=BISECT_STEPS, newton_steps=NEWTON_STEPS):
     """Safeguarded bisection plus Newton polish for a monotone map."""
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
@@ -305,10 +398,64 @@ def _invert_monotone(value_fn, deriv_fn, y, lo, hi,
     for _ in range(newton_steps):
         step = (value_fn(x) - y) / deriv_fn(x)
         x = np.clip(x - step, lo, hi)
-    resid = np.abs(value_fn(x) - y)
-    if np.any(resid > INVERSE_TOL):
-        raise NumericError(f"inverse did not converge (residual {np.max(resid):g})")
+    _check_residual(np.abs(value_fn(x) - y))
     return x
+
+
+# The scalar path: the array code above on Python floats.  ``bisect_right``
+# is ``searchsorted(side="right")`` and min/max is ``np.clip``.
+
+def _segment(knots, t) -> int:
+    return min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
+
+
+def _spline_value_scalar(d: _SplineData, x: float) -> float:
+    xs, ys, ms, c2, c3 = d.floats
+    if x == xs[-1]:
+        return ys[-1]
+    i = _segment(xs, x)
+    s = x - xs[i]
+    return ys[i] + s * (ms[i] + s * (c2[i] + s * c3[i]))
+
+
+def _spline_deriv_scalar(d: _SplineData, x: float) -> float:
+    xs, ys, ms, c2, c3 = d.floats
+    if x == xs[-1]:
+        return ms[-1]
+    i = _segment(xs, x)
+    s = x - xs[i]
+    return ms[i] + s * (2 * c2[i] + 3 * c3[i] * s)
+
+
+def _spline_inverse_scalar(d: _SplineData, y: float) -> float:
+    xs, ys, ms, c2, c3 = d.floats
+    i = _segment(ys, y)
+    x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
+    m0, m1, a2, a3 = ms[i], ms[i + 1], c2[i], c3[i]
+    lo, hi = x0, x1
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        s = mid - x0
+        v = y1 if mid == x1 else y0 + s * (m0 + s * (a2 + s * a3))
+        if v < y:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(NEWTON_STEPS):
+        if x == x1:
+            v, dv = y1, m1
+        else:
+            s = x - x0
+            v = y0 + s * (m0 + s * (a2 + s * a3))
+            dv = m0 + s * (2 * a2 + 3 * a3 * s)
+        x = min(max(x - (v - y) / dv, lo), hi)
+    resid = abs(_spline_value_scalar(d, x) - y)
+    if not resid <= INVERSE_TOL:
+        raise NumericError(f"inverse did not converge (residual {resid:g})")
+    if y == y0:
+        return x0
+    return xs[-1] if y == ys[-1] else x
 
 
 # -- family constructors ------------------------------------------------------

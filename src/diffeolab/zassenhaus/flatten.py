@@ -392,14 +392,15 @@ def _final_audits(report: FlattenReport, S: GeneratorSet, grid: GridSpec,
     for letter in reversed(h1_inv.letters):
         gmap = S[letter.gen]
         in_zone = pts >= lo
+        nxt = gmap.value(pts) if letter.sign > 0 else gmap.inverse(pts)
         if np.any(in_zone):
-            zs = pts[in_zone]
-            ds = gmap.deriv(zs) if letter.sign > 0 else 1.0 / gmap.deriv(gmap.inverse(zs))
-            checked += len(zs)
+            # An inverse letter's derivative comes from the preimage just solved.
+            ds = (gmap.deriv(pts[in_zone]) if letter.sign > 0
+                  else 1.0 / gmap.deriv(nxt[in_zone]))
+            checked += len(ds)
             violations += int(np.count_nonzero(
                 (ds <= 1.0 / theta_n) | (ds >= theta_n)))
-        pts = gmap.value(pts) if letter.sign > 0 else gmap.inverse(pts)
-        np.clip(pts, 0.0, 1.0, out=pts)
+        pts = np.clip(nxt, 0.0, 1.0, out=nxt)
     report.theta_audit_checked = checked
     report.theta_audit_violations = violations
 

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.generators import build_pp, blend, mobius, polybump, spline
+from diffeolab.generators import (INVERSE_BLOCK, SCALAR_INVERSE_MAX,
+                                  _invert_monotone, _spline_deriv,
+                                  _spline_inverse, _spline_inverse_scalar,
+                                  _spline_value, build_pp, blend, mobius,
+                                  polybump, spline)
 from diffeolab.errors import ConstructionError, DomainError, NumericError
+from diffeolab.zassenhaus import build_wreath_pair
 
 RNG = np.random.default_rng(20240811)
 
@@ -184,3 +189,82 @@ def test_spline_inverse_convergence_reported():
     except NumericError:
         pytest.fail("inverse failed on plain monotone data")
     assert np.max(np.abs(f.value(xs) - ys)) <= 1e-12
+
+
+# -- the per-segment spline inverse and the scalar path ------------------------
+
+def spline_maps():
+    f, g = build_pp().generators
+    pair = build_wreath_pair(0.1, (0.40, 0.42), 3)
+    return [f, g, blend("b", f, 0.5), pair.u, pair.v]
+
+
+def whole_spline_inverse(d, y):
+    """Reference: bisection and Newton on the whole spline, one segment as bracket."""
+    i = np.clip(np.searchsorted(d.ys, y, side="right") - 1, 0, len(d.ys) - 2)
+    x = _invert_monotone(lambda t: _spline_value(d, t),
+                         lambda t: _spline_deriv(d, t), y, d.xs[i], d.xs[i + 1])
+    x = np.where(y == d.ys[i], d.xs[i], x)
+    return np.where(y == d.ys[-1], d.xs[-1], x)
+
+
+def probe_points(d):
+    """10^5 random points, every knot value and the values 1 ulp either side."""
+    knots = np.concatenate([d.ys, np.nextafter(d.ys, 0.0), np.nextafter(d.ys, 1.0)])
+    return np.concatenate([np.random.default_rng(7).random(100_000), knots])
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("gmap", spline_maps(), ids=lambda g: g.id)
+def test_spline_inverse_bitwise_equals_whole_spline_solve(gmap):
+    ys = probe_points(gmap._spline)
+    assert np.array_equal(bits(gmap.inverse(ys)),
+                          bits(whole_spline_inverse(gmap._spline, ys)))
+
+
+@pytest.mark.parametrize("gmap", spline_maps(), ids=lambda g: g.id)
+def test_spline_scalar_path_bitwise_equals_array_path(gmap):
+    pts = probe_points(gmap._spline)
+    for op in (gmap.value, gmap.deriv, gmap.inverse):
+        scalar = [op(float(p)) for p in pts]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(bits(scalar), bits(op(pts)))
+        # numpy scalars, 0-d arrays and ints give the same floats
+        assert op(np.float64(pts[0])) == op(np.array(pts[0])) == scalar[0]
+        assert type(op(np.array(pts[0]))) is float and op(1) == op(1.0)
+
+
+@pytest.mark.parametrize("n", [SCALAR_INVERSE_MAX, INVERSE_BLOCK + 1])
+def test_spline_inverse_keeps_shape_and_values(n):
+    f = build_pp()["f"]
+    ys = np.random.default_rng(3).random(n)
+    flat = f.inverse(ys)
+    assert flat.shape == ys.shape
+    assert np.array_equal(bits(flat), bits(whole_spline_inverse(f._spline, ys)))
+    grid = ys.reshape(2, -1) if n % 2 == 0 else ys.reshape(3, -1)
+    assert np.array_equal(bits(f.inverse(grid)), bits(flat.reshape(grid.shape)))
+    assert np.array_equal(bits(f.inverse(grid.T)), bits(flat.reshape(grid.shape).T))
+
+
+@pytest.mark.parametrize("gmap", all_test_maps(), ids=lambda g: g.id)
+def test_nan_input_raises_domain_error(gmap):
+    for op in (gmap.value, gmap.deriv, gmap.inverse):
+        with pytest.raises(DomainError):
+            op(math.nan)
+        with pytest.raises(DomainError):
+            op(np.array([0.5, math.nan]))
+
+
+def test_inverse_residual_check_fails_closed_on_nan():
+    d = build_pp()["f"]._spline
+    for n in (1, INVERSE_BLOCK):
+        ys = np.full(n, 0.5)
+        ys[-1] = math.nan
+        with pytest.raises(NumericError):
+            _spline_inverse(d, ys)
+    with pytest.raises(NumericError):
+        _invert_monotone(lambda t: t * math.nan, np.ones_like,
+                         np.array([0.5]), 0.0, 1.0)
