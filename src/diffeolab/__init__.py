@@ -18,10 +18,9 @@ from .errors import (CapExhausted, ConfigError, ConstructionError, DomainError,
 from .generators import (GeneratorMap, GeneratorSet, Letter, blend, build_pp,
                          global_bounds, letter_bounds, mobius, polybump,
                          spline, PP_I, PP_J)
-from .words import (BallStats, Word, concat_reduce, enumerate_ball,
-                    enumerate_positive, enumerate_sphere, growth_stats,
-                    invert, positive_count, reduce_letters, sphere_size,
-                    suffixes, word_from_text, word_to_text)
+from .words import (BallStats, Word, concat_reduce, enumerate_positive,
+                    enumerate_sphere, growth_stats, invert, positive_count,
+                    reduce_letters, sphere_size, suffixes, word_from_text)
 from .zassenhaus import (CollisionParams, CollisionReport, FlattenParams,
                          FlattenReport, TransportParams, TransportReport,
                          WreathNormalForm, WreathPair, build_wreath_pair,

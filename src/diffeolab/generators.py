@@ -24,7 +24,7 @@ Maps are immutable after construction and all evaluations are pure.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -40,12 +40,16 @@ INVERSE_TOL = 1e-12
 BISECT_STEPS = 22
 NEWTON_STEPS = 4
 
+#: Bisection levels of the spline inverse that are looked up in a table
+#: (``_SplineData.tree``) instead of being stepped through.
+TREE_DEPTH = 12
+
 #: Points per block of the array spline inverse.  Blocking keeps its
 #: temporaries at a few arrays of this length whatever the input size.
 INVERSE_BLOCK = 8192
 
 #: Arrays up to this size are inverted point by point on the scalar path,
-#: which is faster than the ~400 numpy calls of one block below ~40 points.
+#: which is faster than the ~200 numpy calls of one block below ~32 points.
 SCALAR_INVERSE_MAX = 32
 
 
@@ -97,6 +101,53 @@ class _SplineData:
         """(xs, ys, ms, c2, c3) as tuples of Python floats, for scalar calls."""
         return tuple(tuple(a.tolist())
                      for a in (self.xs, self.ys, self.ms, self.c2, self.c3))
+
+    @cached_property
+    def tree(self) -> tuple:
+        """(depth, keys, bounds): the top ``depth`` levels of the inverse's bisection.
+
+        Segment i owns 2**depth entries, in order: its knot, then the
+        midpoints of its bisection tree, built with the inverse's own
+        ``0.5 * (lo + hi)`` and cubic.  ``bounds`` holds the abscissae and
+        ends with xs[-1]: leaf k brackets bounds[k], bounds[k + 1] in segment
+        k >> depth.  A knot's key is the float just below ys[i] and a
+        midpoint's key is the cubic's value there, or inf at the right knot,
+        so a key is below y exactly when the segment search (ys[i] <= y) or
+        the bisection step (value < y, never at the right knot) goes right
+        of its entry.  While the keys do not decrease,
+        ``searchsorted(keys, y, side="left") - 1`` therefore walks that
+        binary tree: it finds the leaf of the segment search plus ``depth``
+        bisection steps.  ``depth`` is the deepest level up to ``TREE_DEPTH``
+        whose keys do not decrease.
+        """
+        n, width = len(self.xs) - 1, 1 << TREE_DEPTH
+        bounds = np.empty(n * width + 1)
+        bounds[::width] = self.xs
+        for level in range(TREE_DEPTH):
+            step = width >> level
+            mid = bounds[step // 2::step]
+            np.add(bounds[:-1:step], bounds[step::step], out=mid)
+            mid *= 0.5
+        lo = bounds[:-1].reshape(n, width)
+        s = lo - self.xs[:-1, None]
+        keys = _cubic(s, self.ys[:-1, None], self.ms[:-1, None],
+                      self.c2[:, None], self.c3[:, None], out=np.empty_like(s))
+        keys[lo == self.xs[1:, None]] = np.inf
+        keys[:, 0] = np.nextafter(self.ys[:-1], -np.inf)
+        keys = keys.reshape(-1)
+        depth = TREE_DEPTH
+        while True:
+            step = 1 << (TREE_DEPTH - depth)
+            if not np.any(keys[step::step] < keys[:-step:step]):
+                return (depth, np.ascontiguousarray(keys[::step]),
+                        np.ascontiguousarray(bounds[::step]))
+            depth -= 1
+
+    @cached_property
+    def tree_views(self) -> tuple:
+        """``tree`` with its arrays as memoryviews, which index to Python floats."""
+        depth, keys, bounds = self.tree
+        return depth, memoryview(keys), memoryview(bounds)
 
 
 def _fritsch_carlson_slopes(xs, ys, end_slopes, pins=None):
@@ -321,7 +372,9 @@ def _spline_inverse(d: _SplineData, y):
     """Inverse of the spline, point by point on small inputs, else by blocks."""
     flat = y.reshape(-1)
     if flat.size <= SCALAR_INVERSE_MAX:
-        out = np.array([_spline_inverse_scalar(d, t) for t in flat.tolist()],
+        leaves = np.searchsorted(d.tree[1], flat, side="left") - 1
+        out = np.array([_spline_inverse_scalar(d, t, k)
+                        for t, k in zip(flat.tolist(), leaves.tolist())],
                        dtype=float)
     else:
         out = np.empty(flat.shape)
@@ -334,20 +387,23 @@ def _spline_inverse(d: _SplineData, y):
 def _spline_inverse_block(d: _SplineData, y):
     """Bisection and Newton on the one segment whose value range holds y.
 
-    Each step evaluates that segment's cubic with the expressions of
-    ``_spline_value`` / ``_spline_deriv``, so the iterates are bitwise those
-    of ``_invert_monotone`` run on the whole spline.  At the segment's right
-    knot x1 those functions switch to the next segment, where s == 0 gives
-    exactly that knot's value y1 and slope m1.  Newton uses them there; in
-    bisection a midpoint at x1 never counts as below, since y < y1 on every
-    segment but the last, and y <= y1 on that one.
+    The tree lookup gives the bracket of the segment search plus ``depth``
+    bisection steps; the remaining steps evaluate that segment's cubic with
+    the expressions of ``_spline_value`` / ``_spline_deriv``, so the iterates
+    are bitwise those of ``_invert_monotone`` run on the whole spline.  At
+    the segment's right knot x1 those functions switch to the next segment,
+    where s == 0 gives exactly that knot's value y1 and slope m1.  Newton
+    uses them there; in bisection a midpoint at x1 never counts as below,
+    since y < y1 on every segment but the last, and y <= y1 on that one.
     """
-    i = np.clip(np.searchsorted(d.ys, y, side="right") - 1, 0, len(d.ys) - 2)
+    depth, keys, bounds = d.tree
+    leaf = np.searchsorted(keys, y, side="left") - 1
+    i = leaf >> depth
     x0, x1, y0, y1 = d.xs[i], d.xs[i + 1], d.ys[i], d.ys[i + 1]
     m0, m1, c2, c3 = d.ms[i], d.ms[i + 1], d.c2[i], d.c3[i]
     s, v = np.empty_like(y), np.empty_like(y)
-    lo, hi = x0, x1
-    for _ in range(BISECT_STEPS):
+    lo, hi = bounds[leaf], bounds[leaf + 1]
+    for _ in range(BISECT_STEPS - depth):
         mid = 0.5 * (lo + hi)
         np.subtract(mid, x0, out=s)
         below = (_cubic(s, y0, m0, c2, c3, out=v) < y) & (mid != x1)
@@ -427,13 +483,17 @@ def _spline_deriv_scalar(d: _SplineData, x: float) -> float:
     return ms[i] + s * (2 * c2[i] + 3 * c3[i] * s)
 
 
-def _spline_inverse_scalar(d: _SplineData, y: float) -> float:
+def _spline_inverse_scalar(d: _SplineData, y: float, leaf=None) -> float:
+    """``_spline_inverse_block`` on one float; ``leaf`` is its tree leaf, if known."""
     xs, ys, ms, c2, c3 = d.floats
-    i = _segment(ys, y)
+    depth, keys, bounds = d.tree_views
+    if leaf is None:
+        leaf = bisect_left(keys, y) - 1
+    i = leaf >> depth
     x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
     m0, m1, a2, a3 = ms[i], ms[i + 1], c2[i], c3[i]
-    lo, hi = x0, x1
-    for _ in range(BISECT_STEPS):
+    lo, hi = bounds[leaf], bounds[leaf + 1]
+    for _ in range(BISECT_STEPS - depth):
         mid = 0.5 * (lo + hi)
         s = mid - x0
         v = y1 if mid == x1 else y0 + s * (m0 + s * (a2 + s * a3))
@@ -609,17 +669,8 @@ class GeneratorSet:
     def __contains__(self, gid: str) -> bool:
         return gid in self._by_id
 
-    def letter_index(self, letter: Letter) -> int:
-        try:
-            return self.alphabet.index(Letter(*letter))
-        except ValueError:
-            raise DomainError(f"letter {letter!r} not in alphabet") from None
-
     def apply_letter(self, letter: Letter, x):
         return letter_value(self[letter.gen], letter.sign, x)
-
-    def apply_letter_deriv(self, letter: Letter, x):
-        return letter_value_deriv(self[letter.gen], letter.sign, x)
 
 
 # -- reference configuration --------------------------------------------------

@@ -79,10 +79,6 @@ def suffixes(w: Word) -> list[Word]:
     return [Word(w.letters[-k:]) for k in range(1, len(w.letters) + 1)]
 
 
-def word_to_text(w: Word) -> str:
-    return w.text
-
-
 def word_from_text(text: str, S: GeneratorSet | None = None) -> Word:
     text = text.strip()
     if text in ("", "1"):
@@ -94,11 +90,6 @@ def word_from_text(text: str, S: GeneratorSet | None = None) -> Word:
         else:
             letters.append(Letter(tok, 1))
     return reduce_letters(letters, S)
-
-
-def word_key(w: Word, S: GeneratorSet):
-    """Canonical sort key: length first, then letter indices."""
-    return (len(w.letters), tuple(S.letter_index(l) for l in w.letters))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -150,12 +141,6 @@ def enumerate_sphere(S: GeneratorSet, n: int, prefix: Word | None = None):
         else:
             depth += 1
             idx[depth] = 0
-
-
-def enumerate_ball(S: GeneratorSet, n: int):
-    """All reduced words of length 0..n, shortest first."""
-    for m in range(n + 1):
-        yield from enumerate_sphere(S, m)
 
 
 def enumerate_positive(pair: tuple[str, str], max_len: int):

@@ -1,12 +1,14 @@
 """Generator families: values, derivatives, inverses, certified bounds."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.generators import (INVERSE_BLOCK, SCALAR_INVERSE_MAX,
+from diffeolab.config import build_generator_set, load_config
+from diffeolab.generators import (INVERSE_BLOCK, SCALAR_INVERSE_MAX, TREE_DEPTH,
                                   _invert_monotone, _spline_deriv,
                                   _spline_inverse, _spline_inverse_scalar,
                                   _spline_value, build_pp, blend, mobius,
@@ -247,6 +249,39 @@ def test_spline_inverse_keeps_shape_and_values(n):
     grid = ys.reshape(2, -1) if n % 2 == 0 else ys.reshape(3, -1)
     assert np.array_equal(bits(f.inverse(grid)), bits(flat.reshape(grid.shape)))
     assert np.array_equal(bits(f.inverse(grid.T)), bits(flat.reshape(grid.shape).T))
+
+
+def test_spline_tree_falls_back_to_a_shallower_depth():
+    # A 1e-14-wide segment runs out of distinct midpoints before TREE_DEPTH
+    # levels, so a deeper table would not be sorted.
+    g = spline("t", [(0.0, 0.0), (0.5, 0.5), (0.5 + 1e-14, 0.5 + 1e-14), (1.0, 1.0)])
+    depth, keys, bounds = g._spline.tree
+    assert 0 < depth < TREE_DEPTH
+    assert np.all(keys[1:] >= keys[:-1]) and bounds.size == keys.size + 1
+    ys = probe_points(g._spline)
+    ref = bits(whole_spline_inverse(g._spline, ys))
+    assert np.array_equal(bits(g.inverse(ys)), ref)
+    assert np.array_equal(bits([g.inverse(float(t)) for t in ys]), ref)
+    small = [g.inverse(ys[k:k + SCALAR_INVERSE_MAX])
+             for k in range(0, ys.size, SCALAR_INVERSE_MAX)]
+    assert np.array_equal(bits(np.concatenate(small)), ref)
+
+
+def test_shipped_splines_use_the_full_tree():
+    # The splines of every config in configs/ (none defines a blend), the
+    # non-vacuous wreath pair that perfbench's wreath_search also runs and
+    # the blends above all look up TREE_DEPTH levels, the fast route.
+    maps = {}
+    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.ini")):
+        cfg = load_config(str(path))
+        if cfg.command == "wreath":  # builds its pair as the wreath preset does
+            cfg.generators = {"preset": "wreath"}
+        for g in build_generator_set(cfg)[0].generators:
+            maps[f"{path.stem}:{g.id}"] = g
+    pair = build_wreath_pair(0.05, (0.40, 0.41), 3)
+    maps.update({"wreath 0.05:u": pair.u, "wreath 0.05:v": pair.v})
+    maps.update({f"spline_maps:{g.id}": g for g in spline_maps()})
+    assert {k: g._spline.tree[0] for k, g in maps.items()} == dict.fromkeys(maps, TREE_DEPTH)
 
 
 @pytest.mark.parametrize("gmap", all_test_maps(), ids=lambda g: g.id)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diffeolab.errors import ConstructionError
-from diffeolab.generators import blend, mobius, polybump, spline
+from diffeolab.generators import SCALAR_INVERSE_MAX, blend, mobius, polybump, spline
+from test_generators import bits, whole_spline_inverse
 
 FAMILIES = ("mobius", "polybump", "spline", "blend")
 
@@ -53,3 +54,44 @@ def test_value_strictly_increasing(family, data):
     lo = data.draw(st.floats(0.0, 1.0 - 1e-9))
     hi = data.draw(st.floats(lo + 1e-9, 1.0))
     assert g.value(lo) < g.value(hi)
+
+
+@st.composite
+def narrow_segment_splines(draw):
+    # A segment 1e-6 to 1e-15 wide, inside or at the right end: the narrow
+    # ones run out of distinct bisection midpoints, so their tree tables
+    # stop short of TREE_DEPTH levels.
+    h = 10.0 ** -draw(st.integers(6, 15))
+    slope = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        x, y = draw(st.floats(0.1, 0.8)), draw(st.floats(0.1, 0.8))
+        knots = [(0.0, 0.0), (x, y), (x + h, y + h * slope), (1.0, 1.0)]
+    else:
+        x = draw(st.floats(0.1, 0.8))
+        knots = [(0.0, 0.0), (x, x), (1.0 - h, 1.0 - h * slope), (1.0, 1.0)]
+    try:
+        g = spline("n", knots)
+    except ConstructionError:
+        assume(False)
+    assume(g.der_inf > 1e-3)
+    return g
+
+
+@pytest.mark.parametrize("family", ("spline", "blend", "narrow"))
+@SETTINGS
+@given(data=st.data())
+def test_spline_tree_lookup_keeps_the_inverse_bitwise(family, data):
+    g = data.draw(narrow_segment_splines() if family == "narrow"
+                  else generator_maps(family))
+    d = g._spline
+    _, keys, bounds = d.tree
+    assert np.all(keys[1:] >= keys[:-1]) and bounds.size == keys.size + 1
+    knots = np.concatenate([d.ys, np.nextafter(d.ys, 0.0), np.nextafter(d.ys, 1.0)])
+    n = SCALAR_INVERSE_MAX
+    ys = np.concatenate([knots, data.draw(st.lists(unit, min_size=n, max_size=2 * n))])
+    ref = bits(whole_spline_inverse(d, ys))
+    # Above SCALAR_INVERSE_MAX points by blocks, up to it point by point.
+    assert np.array_equal(bits(g.inverse(ys)), ref)
+    small = [g.inverse(ys[k:k + n]) for k in range(0, ys.size, n)]
+    assert np.array_equal(bits(np.concatenate(small)), ref)
+    assert np.array_equal(bits([g.inverse(float(t)) for t in ys]), ref)
