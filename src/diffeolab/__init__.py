@@ -7,8 +7,7 @@ pipelines that produce nontrivial words arbitrarily close to the identity.
 """
 
 from .action import (GridSpec, OrbitTrace, ProbeReport, SupEstimate,
-                     apply_word, c0_dist_to_id, c1_dist_to_id,
-                     min_deriv_gap_ball, min_displacement_ball, probe_ball,
+                     apply_word, c0_dist_to_id, c1_dist_to_id, probe_ball,
                      word_deriv_bounds, word_values)
 from .certify import (EndpointSlopeCheck, Interval, PingPongCertificate,
                       check_endpoint_slopes, check_pingpong,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .generators import GeneratorSet, letter_bounds, letter_value_deriv
+from .generators import GeneratorSet, Letter, letter_bounds, letter_value_deriv
 from .words import Word, level_word, sphere_levels
 
 #: Orbit points may leave [0, 1] by at most this much before it is an error.
@@ -183,6 +183,72 @@ def c1_dist_to_id(w: Word, grid: GridSpec, S: GeneratorSet) -> SupEstimate:
                        argmax_x=float(xs[int(np.argmax(disp + gap))]))
 
 
+def check_c1_ball(S: GeneratorSet, epsilon: float) -> None:
+    """Raise unless every generator is certified within ``epsilon`` of the
+    identity in C^1 distance."""
+    grid = GridSpec(4000)
+    for g in S.generators:
+        est = c1_dist_to_id(Word((Letter(g.id, 1),)), grid, S)
+        if est.certified_bound > epsilon:
+            raise PreconditionError(
+                f"generator {g.id!r} is not within the {epsilon:g}-ball "
+                f"(certified {est.certified_bound:g})")
+
+
+# -- sphere orbits -------------------------------------------------------------
+
+def map_row_chunks(fn, xs: np.ndarray, outs, threads: int) -> None:
+    """Write ``fn(xs[a:b])`` into ``outs[i][a:b]`` over row chunks of ``xs``.
+
+    ``fn`` returns one array per output.  Inputs of at least ``_PARALLEL_MIN``
+    elements are split along axis 0 into ``threads`` chunks on a thread pool;
+    every row is computed alike in any chunk, so results do not depend on
+    ``threads``.
+    """
+    chunks = threads if threads > 1 and xs.size >= _PARALLEL_MIN else 1
+    bounds = np.linspace(0, len(xs), chunks + 1).astype(int)
+
+    def work(k):
+        a, b = bounds[k], bounds[k + 1]
+        for out, part in zip(outs, fn(xs[a:b])):
+            out[a:b] = part
+
+    if chunks == 1:
+        work(0)
+        return
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        list(pool.map(work, range(chunks)))
+
+
+def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
+                  threads: int = 1):
+    """Propagate start points through sphere levels 1, 2, ... lazily.
+
+    For each level m it yields a list: per start point, the values of the
+    level's words there (row order of ``levels[m]``); then, when ``derivs``
+    is set, per start point each row's generator derivative at the lower end
+    of its letter step: g'(x) for a letter g, g'(pre) for g^-1 with
+    pre = g^-1(x).  Level m + 1 starts from the yielded value arrays, so a
+    caller that changes them in place (the probe clips) propagates that.
+    """
+    vals = [np.array([float(x)]) for x in starts]
+    for lev in levels[1:]:
+        new_vals = [np.empty(lev.size) for _ in vals]
+        new_ders = [np.empty(lev.size) for _ in vals] if derivs else []
+        for s, letter in enumerate(S.alphabet):
+            rows = lev.rows(s)
+
+            def step(x, g=S[letter.gen], sign=letter.sign):
+                y = g.value(x) if sign > 0 else g.inverse(x)
+                return (y, g.deriv(x if sign > 0 else y)) if derivs else (y,)
+
+            for i, v in enumerate(vals):
+                outs = [new_vals[i][rows]] + ([new_ders[i][rows]] if derivs else [])
+                map_row_chunks(step, v[lev.parent[rows]], outs, threads)
+        vals = new_vals
+        yield new_vals + new_ders
+
+
 # -- ball probes ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -219,28 +285,6 @@ class ProbeReport:
     def degenerate_deriv_gap(self) -> bool:
         return (self.min_deriv_gap is not None
                 and self.min_deriv_gap <= ZERO_TOL)
-
-
-def _chunked_letter_apply(S, letter, xs, threads):
-    g = S[letter.gen]
-    if threads <= 1 or len(xs) < _PARALLEL_MIN:
-        if letter.sign > 0:
-            return g.value(xs), g.deriv(xs)
-        pre = g.inverse(xs)
-        return pre, 1.0 / g.deriv(pre)
-    bounds = np.linspace(0, len(xs), threads + 1).astype(int)
-
-    def work(k):
-        part = xs[bounds[k]:bounds[k + 1]]
-        if letter.sign > 0:
-            return g.value(part), g.deriv(part)
-        pre = g.inverse(part)
-        return pre, 1.0 / g.deriv(pre)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(work, range(threads)))
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]))
 
 
 #: Words whose probe value falls at or below this act trivially at x0 for all
@@ -288,25 +332,19 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
         raise DomainError("x0 outside [0, 1]")
     levels = sphere_levels(S, n, cap=cap)
     complete = len(levels) == n + 1
-    vals = np.array([x0])
     ders = np.array([1.0])
     disp_t, gap_t = _MinTracker(), _MinTracker()
     rows = []
-    for m in range(1, len(levels)):
-        lev = levels[m]
-        new_vals = np.empty(lev.size)
-        new_ders = np.empty(lev.size)
-        for s, letter in enumerate(S.alphabet):
-            rows_s = np.nonzero(lev.letter == s)[0]
-            if not len(rows_s):
-                continue
-            v, d = _chunked_letter_apply(S, letter, vals[lev.parent[rows_s]], threads)
-            new_vals[rows_s] = np.clip(v, 0.0, 1.0)
-            new_ders[rows_s] = d * ders[lev.parent[rows_s]]
-        vals, ders = new_vals, new_ders
+    orbits = sphere_orbits(S, levels, [x0], derivs=deriv_gap, threads=threads)
+    for m, level in enumerate(orbits, start=1):
+        vals = np.clip(level[0], 0.0, 1.0, out=level[0])
         if displacement:
             disp_t.update(np.abs(vals - x0), m)
         if deriv_gap:
+            lev, d = levels[m], level[1]
+            for s in range(1, len(S.alphabet), 2):  # inverse letters
+                d[lev.rows(s)] = 1.0 / d[lev.rows(s)]
+            ders = np.multiply(d, ders[lev.parent], out=d)
             gap_t.update(np.abs(ders - 1.0), m)
         rows.append((m,
                      disp_t.value if displacement else None,
@@ -330,16 +368,3 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
                        zero_deriv_gap_words=g_zero,
                        rows=tuple(rows))
 
-
-def min_displacement_ball(S: GeneratorSet, n: int, x0: float, *,
-                          cap: int = 4_000_000, threads: int = 1) -> ProbeReport:
-    """Minimum of |g(x0) - x0| over nontrivial words of length <= n."""
-    return probe_ball(S, n, x0, displacement=True, deriv_gap=False,
-                      cap=cap, threads=threads)
-
-
-def min_deriv_gap_ball(S: GeneratorSet, n: int, x0: float, *,
-                       cap: int = 4_000_000, threads: int = 1) -> ProbeReport:
-    """Minimum of |g'(x0) - 1| over nontrivial words of length <= n."""
-    return probe_ball(S, n, x0, displacement=False, deriv_gap=True,
-                      cap=cap, threads=threads)

@@ -322,20 +322,6 @@ class GeneratorMap:
             return min(vals), max(vals)
         return _spline_deriv_range(self._spline, lo, hi)
 
-    def deriv_lipschitz_on(self, lo: float, hi: float) -> float:
-        """Certified Lipschitz bound for the derivative over [lo, hi]."""
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise DomainError("bad interval")
-        if self.family == "mobius":
-            lam = self.params["lam"]
-            den_min = min((1.0 - lo) + lam * lo, (1.0 - hi) + lam * hi)
-            return 2.0 * lam * abs(lam - 1.0) / den_min ** 3
-        if self.family == "polybump":
-            c = abs(self.params["c"])
-            # |u'(x)| = |1 - 6x + 6x^2| <= 1 on [0, 1].
-            return 2.0 * c
-        return _spline_lip_range(self._spline, lo, hi)
-
     def value_bracket(self, lo: float, hi: float) -> tuple[float, float]:
         """Certified bracket of the image of [lo, hi].
 
@@ -593,19 +579,6 @@ def _spline_deriv_range(d: _SplineData, lo: float, hi: float):
     return out_lo, out_hi
 
 
-def _spline_lip_range(d: _SplineData, lo: float, hi: float) -> float:
-    i0 = max(int(np.searchsorted(d.xs, lo, side="right")) - 1, 0)
-    i1 = min(int(np.searchsorted(d.xs, hi, side="left")), len(d.xs) - 1)
-    out = 0.0
-    for i in range(i0, max(i1, i0 + 1)):
-        h = d.xs[i + 1] - d.xs[i]
-        s_lo = max(lo - d.xs[i], 0.0)
-        s_hi = min(hi - d.xs[i], h)
-        if s_lo <= s_hi:
-            out = max(out, _segment_lip(d, i, s_lo, s_hi))
-    return out
-
-
 def global_bounds(g: GeneratorMap) -> tuple[float, float, float]:
     """(der_inf, der_sup, der_lip) as certified by construction."""
     return g.der_inf, g.der_sup, g.der_lip
@@ -635,11 +608,10 @@ class GeneratorSet:
     """A finite symmetric generating set with its certified constants.
 
     ``alphabet`` lists letters in canonical order: generators in the given
-    order, positive sign before negative.  Two derivative-sum conventions are
-    kept because downstream estimates disagree on a factor of two:
-    ``m_sum`` is the largest over generator pairs of the sum of their
-    derivative sups, and ``m_double`` is twice that.  ``lip_max`` bounds the
-    derivative Lipschitz constant over all letters, inverses included.
+    order, positive sign before negative.  ``m_double`` is twice the largest
+    over generator pairs of the sum of their derivative sups.  ``lip_max``
+    bounds the derivative Lipschitz constant over all letters, inverses
+    included.
     """
 
     def __init__(self, generators):
@@ -653,8 +625,7 @@ class GeneratorSet:
         self._by_id = {g.id: g for g in gens}
         self.alphabet = tuple(Letter(g.id, s) for g in gens for s in (1, -1))
         sups = sorted((g.der_sup for g in gens), reverse=True)
-        self.m_sum = sups[0] + (sups[1] if len(sups) > 1 else sups[0])
-        self.m_double = 2.0 * self.m_sum
+        self.m_double = 2.0 * (sups[0] + (sups[1] if len(sups) > 1 else sups[0]))
         self.lip_max = max(letter_bounds(g, s)[2] for g in gens for s in (1, -1))
 
     def __len__(self):

@@ -8,6 +8,8 @@ sign first, words by length then lexicographically.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,46 +103,18 @@ def enumerate_sphere(S: GeneratorSet, n: int, prefix: Word | None = None):
     """
     if n < 0:
         raise DomainError("sphere radius must be nonnegative")
-    k = len(S.alphabet)
-    base = list((prefix or EMPTY).letters)
+    base = (prefix or EMPTY).letters
     if len(base) > n:
         return
-    if prefix is not None and reduce_letters(base).letters != tuple(base):
+    if prefix is not None and reduce_letters(base).letters != base:
         raise DomainError("prefix must be reduced")
-    if len(base) == n:
-        yield Word(tuple(base))
-        return
-    # Iterative DFS over letter indices with last-letter exclusion.
-    idx = [0] * (n - len(base))
-    depth = 0
-    letters = list(S.alphabet)
-
-    def blocked(d, j):
-        if d > 0:
-            prev = letters[idx[d - 1]]
-        elif base:
-            prev = base[-1]
-        else:
-            return False
-        return letters[j] == prev.inverse()
-
-    while True:
-        j = idx[depth]
-        if j >= k:
-            if depth == 0:
-                return
-            depth -= 1
-            idx[depth] += 1
-            continue
-        if blocked(depth, j):
-            idx[depth] += 1
-            continue
-        if depth == len(idx) - 1:
-            yield Word(tuple(base) + tuple(letters[i] for i in idx))
-            idx[depth] += 1
-        else:
-            depth += 1
-            idx[depth] = 0
+    m = n - len(base)
+    levels = sphere_levels(S, m)
+    cancel = base[-1].inverse() if base else None
+    for idx in range(levels[m].size):
+        letters = level_word(levels, m, idx, S).letters
+        if not letters or letters[0] != cancel:
+            yield Word(base + letters)
 
 
 def enumerate_positive(pair: tuple[str, str], max_len: int):
@@ -169,18 +143,24 @@ def positive_count(max_len: int) -> int:
 class SphereLevel:
     """Sphere words of one length as flat arrays.
 
-    ``letter[i]`` is the leading (leftmost) letter index of word i and
-    ``parent[i]`` its suffix's row in the previous level.  Row order is the
-    canonical lexicographic order, so indices double as tie-breakers.
+    ``parent[i]`` is the row of word i's suffix in the previous level.  Rows
+    are grouped by leading (leftmost) letter: alphabet letter s leads exactly
+    the rows ``offsets[s]:offsets[s + 1]`` (all offsets of level 0, the
+    empty word, are 0).  Row order is the canonical lexicographic order, so
+    indices double as tie-breakers.
     """
 
     n: int
-    letter: np.ndarray
     parent: np.ndarray
+    offsets: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.letter)
+        return len(self.parent)
+
+    def rows(self, s: int) -> slice:
+        """The rows led by alphabet letter ``s``."""
+        return slice(self.offsets[s], self.offsets[s + 1])
 
 
 def sphere_levels(S: GeneratorSet, n_max: int, cap: int | None = None):
@@ -190,27 +170,18 @@ def sphere_levels(S: GeneratorSet, n_max: int, cap: int | None = None):
     treat a short list as a partial enumeration.
     """
     k = len(S.alphabet)
-    levels = [SphereLevel(0, np.array([-1], dtype=np.int8),
-                          np.array([-1], dtype=np.int64))]
+    levels = [SphereLevel(0, np.array([-1], dtype=np.int64), (0,) * (k + 1))]
     total = 1
     for n in range(1, n_max + 1):
-        prev = levels[-1]
-        if n == 1:
-            letter = np.arange(k, dtype=np.int8)
-            parent = np.zeros(k, dtype=np.int64)
-        else:
-            parts_l, parts_p = [], []
-            prev_first = prev.letter
-            for s in range(k):
-                ok = np.nonzero(prev_first != (s ^ 1))[0]
-                parts_l.append(np.full(len(ok), s, dtype=np.int8))
-                parts_p.append(ok.astype(np.int64))
-            letter = np.concatenate(parts_l)
-            parent = np.concatenate(parts_p)
-        if cap is not None and total + len(letter) > cap:
+        # Letter s may lead every suffix except those led by its inverse.
+        rows = np.arange(levels[-1].size, dtype=np.int64)
+        parts = [np.concatenate([rows[:cut.start], rows[cut.stop:]])
+                 for cut in (levels[-1].rows(s ^ 1) for s in range(k))]
+        offsets = tuple(itertools.accumulate((len(p) for p in parts), initial=0))
+        if cap is not None and total + offsets[-1] > cap:
             break
-        levels.append(SphereLevel(n, letter, parent))
-        total += len(letter)
+        levels.append(SphereLevel(n, np.concatenate(parts), offsets))
+        total += offsets[-1]
     return levels
 
 
@@ -219,7 +190,7 @@ def level_word(levels, n: int, idx: int, S: GeneratorSet) -> Word:
     letters = []
     for m in range(n, 0, -1):
         lev = levels[m]
-        letters.append(S.alphabet[int(lev.letter[idx])])
+        letters.append(S.alphabet[bisect_right(lev.offsets, idx) - 1])
         idx = int(lev.parent[idx])
     return Word(tuple(letters))
 

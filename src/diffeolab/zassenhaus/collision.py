@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..action import GridSpec, apply_word, c1_dist_to_id
+from ..action import apply_word, check_c1_ball, sphere_orbits
 from ..errors import DomainError, PreconditionError
-from ..generators import GeneratorSet, Letter
+from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
 
 
@@ -115,7 +115,7 @@ class CollisionRow:
 
 @dataclass
 class CollisionReport:
-    status: str                        # found | not_found | time_budget | cap
+    status: str                        # found | not_found | time_budget | cap_exhausted
     params: CollisionParams
     n1: int | None
     rows: list[CollisionRow] = field(default_factory=list)
@@ -134,16 +134,6 @@ class CollisionReport:
     audit_violations: int = 0
     chain_rel_err: float = math.nan
     distinctness: str = ""
-
-
-def _check_ball(S: GeneratorSet, epsilon: float) -> None:
-    grid = GridSpec(4000)
-    for g in S.generators:
-        est = c1_dist_to_id(Word((Letter(g.id, 1),)), grid, S)
-        if est.certified_bound > epsilon:
-            raise PreconditionError(
-                f"generator {g.id!r} is not within the {epsilon:g}-ball "
-                f"(certified {est.certified_bound:g})")
 
 
 def _bucket_pair(vals, logds, width_v, width_d, nf_of_idx):
@@ -184,7 +174,7 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
     """
     params = params.resolved()
     params.validate()
-    _check_ball(S, params.epsilon)
+    check_c1_ball(S, params.epsilon)
     n1 = _bracket_n1(params.eta, params.c1)
     report = CollisionReport(status="not_found", params=params, n1=n1)
     deadline = (time.monotonic() + params.time_budget_s
@@ -195,29 +185,18 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
     width_d = math.log1p(params.c1)
     big_m = S.lip_max
 
-    vals = np.array([params.x0])
     logds = np.array([0.0])
+    orbits = sphere_orbits(S, levels, [params.x0], derivs=True)
     for m in range(1, len(levels)):
         if deadline and time.monotonic() > deadline:
             report.status = "time_budget"
             break
         lev = levels[m]
-        new_vals = np.empty(lev.size)
-        new_logd = np.empty(lev.size)
-        for s, letter in enumerate(S.alphabet):
-            rows = np.nonzero(lev.letter == s)[0]
-            if not len(rows):
-                continue
-            gmap = S[letter.gen]
-            src = vals[lev.parent[rows]]
-            if letter.sign > 0:
-                new_vals[rows] = gmap.value(src)
-                new_logd[rows] = logds[lev.parent[rows]] + np.log(gmap.deriv(src))
-            else:
-                pre = gmap.inverse(src)
-                new_vals[rows] = pre
-                new_logd[rows] = logds[lev.parent[rows]] - np.log(gmap.deriv(pre))
-        vals, logds = new_vals, new_logd
+        vals, logd = next(orbits)
+        np.log(logd, out=logd)
+        for s in range(1, len(S.alphabet), 2):  # inverse letters
+            np.negative(logd[lev.rows(s)], out=logd[lev.rows(s)])
+        logds = np.add(logds[lev.parent], logd, out=logd)
         width_v = params.lam ** float(-m)
         j_keys = np.floor(vals / width_v).astype(np.int64)
         _, counts = np.unique(j_keys, return_counts=True)

@@ -29,20 +29,18 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..action import GridSpec, SupEstimate, apply_word, c0_dist_to_id, word_values
+from ..action import (GridSpec, SupEstimate, apply_word, c0_dist_to_id,
+                      map_row_chunks, word_values)
 from ..certify import Interval, PingPongCertificate, scan_endpoint_delta
 from ..errors import CapExhausted, DomainError, PreconditionError
 from ..generators import GeneratorMap, GeneratorSet, Letter
 from ..words import EMPTY, Word, concat_reduce, invert
 
 AUDIT_TOL = 1e-12
-
-_PARALLEL_MIN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -220,18 +218,6 @@ def pigeonhole_bound(M: float, m: int, theta_n: float, N: int,
     return n
 
 
-def _apply_word_rows(w: Word, rows: np.ndarray, S: GeneratorSet,
-                     threads: int) -> np.ndarray:
-    if threads <= 1 or rows.size < _PARALLEL_MIN:
-        return word_values(w, rows, S)
-    bounds = np.linspace(0, len(rows), threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda k: word_values(w, rows[bounds[k]:bounds[k + 1]], S),
-            range(threads)))
-    return np.concatenate(parts)
-
-
 def _decode_candidate(level: int, idx: int, alpha: Word, beta: Word) -> Word:
     """Candidate word U beta alpha for row ``idx`` of level ``level``."""
     symbols = []
@@ -310,8 +296,10 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
             report.status = "time_budget"
             break
         prev = levels[-1]
-        new = np.vstack([_apply_word_rows(alpha, prev, S, threads),
-                         _apply_word_rows(beta, prev, S, threads)])
+        new = np.empty((2 * len(prev), prev.shape[1]))
+        map_row_chunks(lambda rows: (word_values(alpha, rows, S),
+                                     word_values(beta, rows, S)),
+                       prev, [new[:len(prev)], new[len(prev):]], threads)
         levels.append(new)
         report.candidates_total += len(new)
         if all_rows is None:

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..action import GridSpec, apply_word, c1_dist_to_id, word_values
+from ..action import apply_word, check_c1_ball, sphere_orbits, word_values
 from ..certify import Interval
-from ..errors import DomainError, PreconditionError
-from ..generators import GeneratorSet, Letter
+from ..errors import DomainError
+from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
 
 
@@ -52,7 +52,7 @@ class TransportRow:
 
 @dataclass
 class TransportReport:
-    status: str                       # found | not_found | time_budget | cap
+    status: str                       # found | not_found | time_budget | cap_exhausted
     x0: float
     delta: Interval
     epsilon: float
@@ -69,16 +69,6 @@ class TransportReport:
     separation: float = math.nan
 
 
-def _check_ball(S: GeneratorSet, epsilon: float) -> None:
-    grid = GridSpec(4000)
-    for g in S.generators:
-        est = c1_dist_to_id(Word((Letter(g.id, 1),)), grid, S)
-        if est.certified_bound > epsilon:
-            raise PreconditionError(
-                f"generator {g.id!r} is not within the {epsilon:g}-ball "
-                f"(certified {est.certified_bound:g})")
-
-
 def interval_transport_search(S: GeneratorSet, params: TransportParams,
                               nf=None) -> TransportReport:
     """Run the per-level transport sums and the overlap pair search.
@@ -91,7 +81,7 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
     delta = params.delta
     if not (0.0 < delta.lo and delta.hi < 1.0):
         raise DomainError("base interval must sit inside (0, 1)")
-    _check_ball(S, params.epsilon)
+    check_c1_ball(S, params.epsilon)
     factor = max(1.0 - 10.0 * params.epsilon, 0.0)
     deadline = (time.monotonic() + params.time_budget_s
                 if params.time_budget_s else None)
@@ -102,30 +92,17 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
     if len(levels) != params.n_max + 1:
         report.status = "cap_exhausted"
 
-    lo = np.array([delta.lo])
-    hi = np.array([delta.hi])
     lengths = np.array([delta.length])
-    all_lo = [lo.copy()]
-    all_hi = [hi.copy()]
+    all_lo = [np.array([delta.lo])]
+    all_hi = [np.array([delta.hi])]
+    orbits = sphere_orbits(S, levels, [delta.lo, delta.hi])
     found = None
     for m in range(1, len(levels)):
         if deadline and time.monotonic() > deadline:
             report.status = "time_budget"
             break
         lev = levels[m]
-        new_lo = np.empty(lev.size)
-        new_hi = np.empty(lev.size)
-        for s, letter in enumerate(S.alphabet):
-            rows = np.nonzero(lev.letter == s)[0]
-            if not len(rows):
-                continue
-            gmap = S[letter.gen]
-            if letter.sign > 0:
-                new_lo[rows] = gmap.value(lo[lev.parent[rows]])
-                new_hi[rows] = gmap.value(hi[lev.parent[rows]])
-            else:
-                new_lo[rows] = gmap.inverse(lo[lev.parent[rows]])
-                new_hi[rows] = gmap.inverse(hi[lev.parent[rows]])
+        new_lo, new_hi = next(orbits)
         new_len = new_hi - new_lo
         violations = int(np.count_nonzero(
             new_len < factor * lengths[lev.parent] - 1e-15))
@@ -137,9 +114,9 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
             bound_applicable=applicable,
             bound_ok=(total > bound) or not applicable,
             transition_violations=violations))
-        lo, hi, lengths = new_lo, new_hi, new_len
-        all_lo.append(lo)
-        all_hi.append(hi)
+        lengths = new_len
+        all_lo.append(new_lo)
+        all_hi.append(new_hi)
         if found is None:
             found = _find_overlap(all_lo, all_hi, nf, levels, S)
     if found is not None:

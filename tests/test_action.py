@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.action import GridSpec, apply_word, c0_dist_to_id, c1_dist_to_id, \
-    min_deriv_gap_ball, min_displacement_ball, probe_ball, word_deriv_bounds, \
+from diffeolab.action import _PARALLEL_MIN, GridSpec, apply_word, c0_dist_to_id, \
+    c1_dist_to_id, map_row_chunks, probe_ball, sphere_orbits, word_deriv_bounds, \
     word_values
 from diffeolab.generators import Letter, build_pp, mobius, polybump
-from diffeolab.words import EMPTY, Word, reduce_letters
+from diffeolab.words import EMPTY, Word, level_word, reduce_letters, sphere_levels
 
 PP = build_pp()
 SMOOTH = dl.GeneratorSet([mobius("f", 1.6), polybump("g", 1.2)])
@@ -146,17 +146,17 @@ def test_word_deriv_bounds_sound():
 
 def test_min_displacement_mobius():
     S = dl.GeneratorSet([mobius("f", 2.0)])
-    rep = min_displacement_ball(S, 1, 0.5)
+    rep = probe_ball(S, 1, 0.5, displacement=True, deriv_gap=False)
     assert rep.min_displacement == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert rep.argmin_displacement.text == "f"
     with pytest.raises(dl.PreconditionError):
-        min_displacement_ball(S, 1, 0.0)
+        probe_ball(S, 1, 0.0, displacement=True, deriv_gap=False)
 
 
 def test_min_deriv_gap_mobius_fixed_point():
     # multiplier at the fixed endpoint is lambda^k, so the gap is 0.5 at k=-1
     S = dl.GeneratorSet([mobius("f", 2.0)])
-    rep = min_deriv_gap_ball(S, 3, 0.0)
+    rep = probe_ball(S, 3, 0.0, displacement=False, deriv_gap=True)
     assert rep.min_deriv_gap == pytest.approx(0.5, abs=1e-14)
     assert rep.argmin_deriv_gap.text == "f^-1"
 
@@ -177,7 +177,7 @@ def test_probe_monotone_in_radius():
 def test_probe_degenerate_flagged():
     # endpoint-flat pair: every derivative gap at 0 is exactly zero
     S = dl.GeneratorSet([polybump("a", 1.0), polybump("b", -0.5)])
-    rep = min_deriv_gap_ball(S, 2, 0.0)
+    rep = probe_ball(S, 2, 0.0, displacement=False, deriv_gap=True)
     assert rep.min_deriv_gap == 0.0
     assert rep.degenerate_deriv_gap
     assert rep.zero_deriv_gap_words == 16
@@ -195,3 +195,53 @@ def test_probe_thread_count_invariant():
     assert a.min_displacement == b.min_displacement
     assert a.min_deriv_gap == b.min_deriv_gap
     assert a.rows == b.rows
+
+
+WREATH = dl.build_wreath_pair(epsilon=0.1, core=(0.40, 0.42), k=3).generator_set
+
+
+@pytest.mark.parametrize("S", [PP, WREATH], ids=["pp", "wreath"])
+def test_sphere_orbits_match_word_application(S):
+    starts = [0.37, 0.5]
+    levels = sphere_levels(S, 5)
+    products = [np.ones(1), np.ones(1)]
+    for m, level in enumerate(sphere_orbits(S, levels, starts, derivs=True), 1):
+        lev = levels[m]
+        for j, x0 in enumerate(starts):
+            vals, ders = level[j], level[2 + j].copy()
+            for s in (1, 3):  # inverse letters contribute 1 / g'(pre)
+                ders[lev.rows(s)] = 1.0 / ders[lev.rows(s)]
+            products[j] = ders * products[j][lev.parent]
+            for i in range(lev.size):
+                w = level_word(levels, m, i, S)
+                assert vals[i] == word_values(w, [x0], S)[0]
+                assert products[j][i] == pytest.approx(
+                    apply_word(w, x0, S).chain_product, rel=1e-12)
+
+
+def test_sphere_orbits_values_only_and_thread_invariant():
+    levels = sphere_levels(PP, 12)
+    one = list(sphere_orbits(PP, levels, [0.41], derivs=True, threads=1))
+    three = list(sphere_orbits(PP, levels, [0.41], derivs=True, threads=3))
+    plain = list(sphere_orbits(PP, levels, [0.41]))
+    assert levels[12].size // 4 >= _PARALLEL_MIN
+    for a, b, c in zip(one, three, plain):
+        assert len(a) == 2 and len(c) == 1
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert np.array_equal(a[0], c[0])
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_map_row_chunks_thread_invariant(threads):
+    g = PP["g"]
+    xs = RNG.uniform(0.0, 1.0, _PARALLEL_MIN + 7)
+    outs = [np.empty_like(xs), np.empty_like(xs)]
+    map_row_chunks(lambda x: (g.inverse(x), g.deriv(x)), xs, outs, threads)
+    assert np.array_equal(outs[0], g.inverse(xs))
+    assert np.array_equal(outs[1], g.deriv(xs))
+    # Flatten's candidate rows: 2-D, split along axis 0.
+    w = random_word(PP, 6, np.random.default_rng(5))
+    rows = RNG.uniform(0.0, 1.0, (_PARALLEL_MIN // 8 + 3, 9))
+    out = np.empty_like(rows)
+    map_row_chunks(lambda r: (word_values(w, r, PP),), rows, [out], threads)
+    assert np.array_equal(out, word_values(w, rows, PP))

@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import diffeolab as dl
+from diffeolab.action import apply_word
+from diffeolab.words import level_word, sphere_levels
 from diffeolab.zassenhaus import CollisionParams, build_wreath_pair, \
     derivative_collision_search
+from diffeolab.zassenhaus.collision import _bucket_pair
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +62,24 @@ def test_sparse_buckets_not_found(pair):
     assert rep.status == "not_found"
     assert rep.rows[0].sphere_words == 4
     assert not rep.rows[0].pair_found
+
+
+def test_buckets_follow_chain_rule(pair):
+    # Reference: bucket the accepted level by apply_word's value and log
+    # chain product; the search must accept the pair those buckets give.
+    S = pair.generator_set
+    params = CollisionParams(x0=0.405, c=0.02, lam=1.1, epsilon=eps_of(pair),
+                             c1=0.008, n_max=8)
+    rep = derivative_collision_search(S, params)
+    n = rep.n_found
+    assert rep.status == "found" and n >= 3
+    levels = sphere_levels(S, n)
+    words = [level_word(levels, n, i, S) for i in range(levels[n].size)]
+    traces = [apply_word(w, params.x0, S) for w in words]
+    i1, i2, _ = _bucket_pair(np.array([t.value for t in traces]),
+                             np.log([t.chain_product for t in traces]),
+                             params.lam ** float(-n), math.log1p(params.c1), None)
+    assert (rep.g1, rep.g2) == (words[i1], words[i2])
 
 
 def test_ball_precondition():

@@ -174,8 +174,9 @@ def test_domain_errors():
 
 def test_generator_set_constants():
     S = build_pp()
-    assert S.m_double == pytest.approx(2.0 * S.m_sum, rel=1e-15)
-    assert S.m_sum >= 1.0
+    sups = sorted((g.der_sup for g in S.generators), reverse=True)
+    assert S.m_double == pytest.approx(2.0 * (sups[0] + sups[1]), rel=1e-15)
+    assert S.m_double >= 2.0
     assert len(S.alphabet) == 4
     assert [l.text for l in S.alphabet] == ["f", "f^-1", "g", "g^-1"]
     with pytest.raises(DomainError):

@@ -92,6 +92,30 @@ def test_sphere_levels_agree_with_stream():
             assert level_word(levels, n, idx, S).letters == stream[idx].letters
 
 
+def reduced_index_tuples(n):
+    """Oracle: reduced alphabet-index tuples in lexicographic (row) order."""
+    return [t for t in itertools.product(range(4), repeat=n)
+            if all(t[i + 1] != (t[i] ^ 1) for i in range(n - 1))]
+
+
+@pytest.mark.parametrize("wreath", [False, True])
+def test_level_offsets_group_rows_by_leading_letter(wreath):
+    T = (dl.build_wreath_pair(epsilon=0.1, core=(0.40, 0.42), k=3).generator_set
+         if wreath else S)
+    levels = sphere_levels(T, 6)
+    assert levels[0].offsets == (0,) * 5
+    for n in range(1, 7):
+        lev = levels[n]
+        words = reduced_index_tuples(n)
+        row_of_suffix = {t: i for i, t in enumerate(reduced_index_tuples(n - 1))}
+        leading = np.array([t[0] for t in words])
+        assert lev.offsets[-1] == lev.size == len(words)
+        for s in range(4):
+            assert np.array_equal(np.arange(lev.size)[lev.rows(s)],
+                                  np.nonzero(leading == s)[0])
+        assert lev.parent.tolist() == [row_of_suffix[t[1:]] for t in words]
+
+
 def test_prefix_blocks_partition_sphere():
     n = 4
     whole = list(enumerate_sphere(S, n))
