@@ -381,32 +381,59 @@ def _spline_inverse_block(d: _SplineData, y):
     where s == 0 gives exactly that knot's value y1 and slope m1.  Newton
     uses them there; in bisection a midpoint at x1 never counts as below,
     since y < y1 on every segment but the last, and y <= y1 on that one.
+    The residual check evaluates the same way at the final x, which lies in
+    [x0, x1], so it is bitwise ``_spline_value(d, x)``.
     """
     depth, keys, bounds = d.tree
     leaf = np.searchsorted(keys, y, side="left") - 1
     i = leaf >> depth
     x0, x1, y0, y1 = d.xs[i], d.xs[i + 1], d.ys[i], d.ys[i + 1]
     m0, m1, c2, c3 = d.ms[i], d.ms[i + 1], d.c2[i], d.c3[i]
-    s, v = np.empty_like(y), np.empty_like(y)
     lo, hi = bounds[leaf], bounds[leaf + 1]
+    mid, s, v, dv = (np.empty_like(y) for _ in range(4))
+    below, off_knot = np.empty(y.shape, bool), np.empty(y.shape, bool)
     for _ in range(BISECT_STEPS - depth):
-        mid = 0.5 * (lo + hi)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
         np.subtract(mid, x0, out=s)
-        below = (_cubic(s, y0, m0, c2, c3, out=v) < y) & (mid != x1)
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    x = 0.5 * (lo + hi)
+        np.less(_cubic(s, y0, m0, c2, c3, out=v), y, out=below)
+        below &= np.not_equal(mid, x1, out=off_knot)
+        # Branch-free select, exact because 0 <= lo <= mid <= hi <= 1 on
+        # every spline: below moves lo up to mid (else max(lo, 0) = lo) and
+        # leaves hi (min(hi, mid + 1) = hi), otherwise hi comes down to mid.
+        np.maximum(lo, np.multiply(mid, below, out=s), out=lo)
+        np.minimum(hi, np.add(mid, below, out=s), out=hi)
+    x = np.add(lo, hi, out=mid)
+    x *= 0.5
     c2x2, c3x3 = 2 * c2, 3 * c3
     for _ in range(NEWTON_STEPS):
         np.subtract(x, x0, out=s)
-        at_knot = x == x1
-        v = np.where(at_knot, y1, _cubic(s, y0, m0, c2, c3, out=v))
-        dv = np.where(at_knot, m1, m0 + s * (c2x2 + c3x3 * s))
-        x = np.clip(x - (v - y) / dv, lo, hi)
-    _check_residual(np.abs(_spline_value(d, x) - y))
+        _cubic(s, y0, m0, c2, c3, out=v)
+        np.multiply(c3x3, s, out=dv)
+        dv += c2x2
+        dv *= s
+        dv += m0
+        _patch_at_knot(x, x1, (v, y1), (dv, m1))
+        v -= y
+        v /= dv
+        x -= v
+        np.clip(x, lo, hi, out=x)
+    np.subtract(x, x0, out=s)
+    _patch_at_knot(x, x1, (_cubic(s, y0, m0, c2, c3, out=v), y1))
+    v -= y
+    _check_residual(np.abs(v, out=v))
     # Exact pinned-knot hits must come back exactly.
-    x = np.where(y == y0, x0, x)
-    return np.where(y == d.ys[-1], d.xs[-1], x)
+    np.copyto(x, x0, where=y == y0)
+    np.copyto(x, d.xs[-1], where=y == d.ys[-1])
+    return x
+
+
+def _patch_at_knot(x, x1, *pairs):
+    """Where x == x1, set each ``out`` of ``pairs`` to its knot value."""
+    at_knot = x == x1
+    if at_knot.any():
+        for out, knot in pairs:
+            out[at_knot] = knot[at_knot]
 
 
 def _cubic(s, y0, m0, c2, c3, out):

@@ -196,12 +196,15 @@ def choose_case(f: GeneratorMap, g: GeneratorMap, z: float,
 
 def pigeonhole_bound(M: float, m: int, theta_n: float, N: int,
                      epsilon: float, cap: int = 10_000_000) -> int:
-    """Smallest n with M^(2m+4) * theta_N^n * 2^(-n/2N) < epsilon.
+    """Smallest n >= 1 with M^(2m+4) * theta_N^n * 2^(-n/2N) < epsilon.
 
-    Direct iteration in log space; fails when theta_N >= 2^(1/2N) since the
-    left side then never decays below any positive epsilon.
+    In log space the condition is ``lhs + n*step < target``; the float test
+    is monotone in n (step < 0), so the closed-form guess is corrected by
+    stepping with that same test.  Fails when theta_N >= 2^(1/2N) since the
+    left side then never decays below any positive epsilon, and raises
+    ``CapExhausted`` when the answer exceeds ``cap`` (n = 1 never does).
     """
-    if M < 1.0 or m < 0 or N < 1 or epsilon <= 0:
+    if not (M >= 1.0 and m >= 0 and N >= 1 and epsilon > 0):
         raise DomainError("bad pigeonhole parameters")
     if theta_n >= 2.0 ** (1.0 / (2 * N)):
         raise PreconditionError("theta_N must be strictly below 2^(1/2N)")
@@ -210,11 +213,14 @@ def pigeonhole_bound(M: float, m: int, theta_n: float, N: int,
         raise PreconditionError("theta_N must be strictly below 2^(1/2N)")
     lhs = (2 * m + 4) * math.log(M)
     target = math.log(epsilon)
-    n = 1
-    while lhs + n * step >= target:
+    guess = (target - lhs) / step
+    n = max(1, math.ceil(guess) if guess <= cap else cap + 1)
+    while n > 1 and lhs + (n - 1) * step < target:
+        n -= 1
+    while n <= cap and lhs + n * step >= target:
         n += 1
-        if n > cap:
-            raise CapExhausted("pigeonhole iteration cap exceeded", best=None)
+    if n > max(cap, 1) or lhs + n * step >= target:
+        raise CapExhausted("pigeonhole iteration cap exceeded", best=None)
     return n
 
 
@@ -314,19 +320,11 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
         report.suffix_violations += int(np.count_nonzero(
             new[:, n_grid + 1] < z - AUDIT_TOL))
 
-        width = bucket_base ** float(-n)
-        keys = np.floor(all_rows[:, :n_grid] / width).astype(np.int64)
-        buckets = len(np.unique(keys, axis=0))
-        order = np.argsort(all_rows[:, 0], kind="stable")
-        sorted_keys = keys[order]
-        same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
+        buckets, pair = _closest_same_bucket(all_rows[:, :n_grid],
+                                             bucket_base ** float(-n))
         level_status = "open"
-        if np.any(same):
-            grid_rows = all_rows[order][:, :n_grid]
-            linf = np.max(np.abs(grid_rows[1:] - grid_rows[:-1]), axis=1)
-            linf[~same] = np.inf
-            k = int(np.argmin(linf))
-            i1, i2 = sorted((int(order[k]), int(order[k + 1])))
+        if pair is not None:
+            i1, i2 = pair
             g1 = _decode_row(i1, levels, alpha, beta)
             g2 = _decode_row(i2, levels, alpha, beta)
             h1 = concat_reduce(g1, W)
@@ -356,6 +354,28 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     if report.status == "success":
         _final_audits(report, S, grid, delta, theta_n)
     return report
+
+
+def _closest_same_bucket(rows, width):
+    """(bucket count, closest adjacent same-bucket pair or None) of ``rows``.
+
+    Rows are bucketed by ``floor(row / width)`` and sorted by their bucket
+    keys, column by column, ties by the raw first value, so rows of one
+    bucket sit next to each other.  The pair is the adjacent same-bucket
+    pair with the smallest L-inf distance, as sorted row indices.
+    """
+    keys = np.floor(rows / width).astype(np.int64)
+    order = np.lexsort((rows[:, 0], *keys.T[::-1]))
+    sorted_keys = keys[order]
+    same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
+    buckets = len(rows) - int(np.count_nonzero(same))
+    if not np.any(same):
+        return buckets, None
+    sorted_rows = rows[order]
+    linf = np.max(np.abs(sorted_rows[1:] - sorted_rows[:-1]), axis=1)
+    linf[~same] = np.inf
+    k = int(np.argmin(linf))
+    return buckets, tuple(sorted((int(order[k]), int(order[k + 1]))))
 
 
 def _decode_row(global_idx: int, levels, alpha: Word, beta: Word) -> Word:

@@ -1,6 +1,8 @@
 """Flattening pipeline: escape search, case analysis, pigeonhole iteration,
 and the end-to-end run on the reference pair."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from diffeolab.certify import Interval
 from diffeolab.generators import build_pp, mobius
 from diffeolab.zassenhaus import (FlattenParams, choose_case, find_escape_word,
                                   flatten, pigeonhole_bound)
+from diffeolab.zassenhaus.flatten import _closest_same_bucket
 
 PP = build_pp()
 F, G = PP.generators
@@ -77,6 +80,61 @@ def test_pigeonhole_bound_trivial():
 def test_pigeonhole_bound_no_decay():
     with pytest.raises(dl.PreconditionError):
         pigeonhole_bound(2.0, 3, 2.0 ** (1.0 / 10.0), 5, 0.1)
+
+
+def counting_loop_bound(M, m, theta_n, N, epsilon, cap):
+    """Reference: count n up from 1 with the same float test; None past cap."""
+    step = math.log(theta_n) - math.log(2.0) / (2 * N)
+    lhs = (2 * m + 4) * math.log(M)
+    target = math.log(epsilon)
+    n = 1
+    while lhs + n * step >= target:
+        n += 1
+        if n > cap:
+            return None
+    return n
+
+
+def closed_form_bound(*args, cap):
+    try:
+        return pigeonhole_bound(*args, cap=cap)
+    except dl.CapExhausted:
+        return None
+
+
+def test_pigeonhole_bound_matches_the_counting_loop():
+    # The flatten runs on pp: escape words of 116, 212 and 405 letters at
+    # epsilon 0.2, 0.1 and 0.05, with flatten's own N and theta_N.
+    for eps, m in ((0.2, 116), (0.1, 212), (0.05, 405)):
+        N = math.ceil(1.0 / eps) + 1
+        args = (PP.m_double, m, 0.5 * (1.0 + 2.0 ** (1.0 / (2 * N))), N, eps)
+        assert pigeonhole_bound(*args) == counting_loop_bound(*args, cap=10**7)
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        N = int(rng.integers(1, 12))
+        top = 2.0 ** (1.0 / (2 * N))
+        args = (float(rng.uniform(1.0, 3.0)), int(rng.integers(0, 6)),
+                float(rng.uniform(1.0, top)), N, float(10 ** rng.uniform(-3, 4)))
+        assert closed_form_bound(*args, cap=20_000) == counting_loop_bound(*args, cap=20_000)
+
+
+def test_pigeonhole_bound_cap_is_the_largest_answer():
+    args = (2.0, 3, 1.01, 5, 0.1)
+    assert pigeonhole_bound(*args, cap=156) == 156
+    with pytest.raises(dl.CapExhausted):
+        pigeonhole_bound(*args, cap=155)
+    # n = 1 is returned whatever the cap, as the counting loop did.
+    assert pigeonhole_bound(2.0, 3, 1.01, 5, 2000.0, cap=0) == 1
+    with pytest.raises(dl.CapExhausted):
+        pigeonhole_bound(*args, cap=0)
+
+
+def test_bucket_scan_finds_a_pair_split_by_the_first_value():
+    # A and C share a bucket; B shares only their first key and sorts
+    # between them by its raw first value.
+    rows = np.array([[0.10, 0.10], [0.11, 0.90], [0.12, 0.11]])
+    assert _closest_same_bucket(rows, 0.5) == (2, (0, 2))
+    assert _closest_same_bucket(rows[:2], 0.5) == (2, None)
 
 
 def test_flatten_invalid_certificate_rejected():

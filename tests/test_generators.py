@@ -1,5 +1,6 @@
 """Generator families: values, derivatives, inverses, certified bounds."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import pytest
 
 import diffeolab as dl
 from diffeolab.config import build_generator_set, load_config
-from diffeolab.generators import (INVERSE_BLOCK, SCALAR_INVERSE_MAX, TREE_DEPTH,
-                                  _invert_monotone, _spline_deriv,
+import diffeolab.generators as generators
+from diffeolab.generators import (INVERSE_BLOCK, NEWTON_STEPS, SCALAR_INVERSE_MAX,
+                                  TREE_DEPTH, _invert_monotone, _spline_deriv,
                                   _spline_inverse, _spline_inverse_scalar,
                                   _spline_value, build_pp, blend, mobius,
                                   polybump, spline)
@@ -199,14 +201,18 @@ def test_spline_inverse_convergence_reported():
 def spline_maps():
     f, g = build_pp().generators
     pair = build_wreath_pair(0.1, (0.40, 0.42), 3)
-    return [f, g, blend("b", f, 0.5), pair.u, pair.v]
+    # The non-vacuous wreath pair that perfbench's wreath_search also runs.
+    fine = build_wreath_pair(0.05, (0.40, 0.41), 3)
+    return [f, g, blend("b", f, 0.5), pair.u, pair.v,
+            dataclasses.replace(fine.u, id="u05"), dataclasses.replace(fine.v, id="v05")]
 
 
-def whole_spline_inverse(d, y):
+def whole_spline_inverse(d, y, newton_steps=NEWTON_STEPS):
     """Reference: bisection and Newton on the whole spline, one segment as bracket."""
     i = np.clip(np.searchsorted(d.ys, y, side="right") - 1, 0, len(d.ys) - 2)
     x = _invert_monotone(lambda t: _spline_value(d, t),
-                         lambda t: _spline_deriv(d, t), y, d.xs[i], d.xs[i + 1])
+                         lambda t: _spline_deriv(d, t), y, d.xs[i], d.xs[i + 1],
+                         newton_steps=newton_steps)
     x = np.where(y == d.ys[i], d.xs[i], x)
     return np.where(y == d.ys[-1], d.xs[-1], x)
 
@@ -268,10 +274,48 @@ def test_spline_tree_falls_back_to_a_shallower_depth():
     assert np.array_equal(bits(np.concatenate(small)), ref)
 
 
+def test_spline_inverse_checks_the_residual_of_the_returned_point(monkeypatch):
+    # The bisection midpoint is ~1e-7 off and one Newton step lands within
+    # INVERSE_TOL, so the check passes only if it sees the polished point.
+    f = build_pp()["f"]
+    ys = np.random.default_rng(5).random(1000)
+    monkeypatch.setattr(generators, "NEWTON_STEPS", 1)
+    ref = bits(whole_spline_inverse(f._spline, ys, newton_steps=1))
+    assert np.array_equal(bits(f.inverse(ys)), ref)
+    assert np.array_equal(bits([f.inverse(float(t)) for t in ys]), ref)
+    monkeypatch.setattr(generators, "NEWTON_STEPS", 0)
+    with pytest.raises(NumericError):
+        f.inverse(ys)
+
+
+@pytest.mark.parametrize("newton_steps", [1, NEWTON_STEPS])
+def test_bisection_never_moves_past_the_right_knot(monkeypatch, newton_steps):
+    # A 1e-12-wide segment whose cubic ends 5e-13 below its right knot's
+    # value: for y in between, the bracket closes on the float below x1 and
+    # x1, and x1 (even last bit) is the rounded midpoint of the two.  The
+    # whole-spline solve reads y1 there, so that midpoint must not count as
+    # below, whatever the segment's own cubic gives.  Four Newton steps swing
+    # between the two floats and end on x1 either way; one step shows a
+    # bracket that wrongly closed on x1, and a Newton step that skipped the
+    # knot's value.
+    x1 = float.fromhex("0x1.0000000002330p-1")
+    g = spline("t", [(0.0, 0.0), (0.45, 0.2), (0.5, 0.5), (x1, 0.5 + 1e-11),
+                     (0.55, 0.8), (1.0, 1.0)], end_slopes=(0.44, 0.44),
+               slope_pins={1: 0.5, 2: 10.0, 3: 10.0, 4: 0.5})
+    d = g._spline
+    c3 = d.c3.copy()
+    c3[2] -= 5e-13 / (x1 - 0.5) ** 3
+    d = dataclasses.replace(d, c3=c3)
+    ys = d.ys[3] - np.linspace(1e-14, 4e-13, 40)
+    monkeypatch.setattr(generators, "NEWTON_STEPS", newton_steps)
+    ref = bits(whole_spline_inverse(d, ys, newton_steps=newton_steps))
+    assert np.array_equal(bits(_spline_inverse(d, ys)), ref)
+    assert np.array_equal(bits([_spline_inverse_scalar(d, float(t)) for t in ys]), ref)
+
+
 def test_shipped_splines_use_the_full_tree():
-    # The splines of every config in configs/ (none defines a blend), the
-    # non-vacuous wreath pair that perfbench's wreath_search also runs and
-    # the blends above all look up TREE_DEPTH levels, the fast route.
+    # The splines of every config in configs/ (none defines a blend) and
+    # those of spline_maps all look up TREE_DEPTH levels, the fast route.
     maps = {}
     for path in sorted((Path(__file__).parent.parent / "configs").glob("*.ini")):
         cfg = load_config(str(path))
@@ -279,8 +323,6 @@ def test_shipped_splines_use_the_full_tree():
             cfg.generators = {"preset": "wreath"}
         for g in build_generator_set(cfg)[0].generators:
             maps[f"{path.stem}:{g.id}"] = g
-    pair = build_wreath_pair(0.05, (0.40, 0.41), 3)
-    maps.update({"wreath 0.05:u": pair.u, "wreath 0.05:v": pair.v})
     maps.update({f"spline_maps:{g.id}": g for g in spline_maps()})
     assert {k: g._spline.tree[0] for k, g in maps.items()} == dict.fromkeys(maps, TREE_DEPTH)
 
