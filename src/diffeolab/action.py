@@ -236,15 +236,14 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
         new_vals = [np.empty(lev.size) for _ in vals]
         new_ders = [np.empty(lev.size) for _ in vals] if derivs else []
         for s, letter in enumerate(S.alphabet):
-            rows = lev.rows(s)
-
             def step(x, g=S[letter.gen], sign=letter.sign):
                 y = g.value(x) if sign > 0 else g.inverse(x)
                 return (y, g.deriv(x if sign > 0 else y)) if derivs else (y,)
 
-            for i, v in enumerate(vals):
-                outs = [new_vals[i][rows]] + ([new_ders[i][rows]] if derivs else [])
-                map_row_chunks(step, v[lev.parent[rows]], outs, threads)
+            for rows, src in lev.suffix_slices(s):
+                for i, v in enumerate(vals):
+                    outs = [new_vals[i][rows]] + ([new_ders[i][rows]] if derivs else [])
+                    map_row_chunks(step, v[src], outs, threads)
         vals = new_vals
         yield new_vals + new_ders
 
@@ -344,7 +343,9 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
             lev, d = levels[m], level[1]
             for s in range(1, len(S.alphabet), 2):  # inverse letters
                 d[lev.rows(s)] = 1.0 / d[lev.rows(s)]
-            ders = np.multiply(d, ders[lev.parent], out=d)
+            for dst, src in lev.suffix_slices():
+                np.multiply(d[dst], ders[src], out=d[dst])
+            ders = d
             gap_t.update(np.abs(ders - 1.0), m)
         rows.append((m,
                      disp_t.value if displacement else None,

@@ -243,28 +243,30 @@ class GeneratorMap:
 
     # -- evaluation ---------------------------------------------------------
 
-    # Python numbers on a spline take a pure-float path that does the same
-    # arithmetic as the array path, so both give bitwise-equal results.
+    # Python numbers take a pure-float path that does the same arithmetic as
+    # the array path, so both give bitwise-equal results: the closed forms
+    # run unchanged on floats, polybump's inverse and the spline kernels have
+    # float twins below.
 
     def value(self, x):
-        if self._spline is not None and isinstance(x, (float, int)):
-            return _spline_value_scalar(self._spline, _check_scalar(x))
+        if isinstance(x, (float, int)):
+            return self._value(_check_scalar(x))
         a, scalar = _as_array(x)
         _check_domain(a)
         v = self._value(a)
         return float(v) if scalar else v
 
     def deriv(self, x):
-        if self._spline is not None and isinstance(x, (float, int)):
-            return _spline_deriv_scalar(self._spline, _check_scalar(x))
+        if isinstance(x, (float, int)):
+            return self._deriv(_check_scalar(x))
         a, scalar = _as_array(x)
         _check_domain(a)
         v = self._deriv(a)
         return float(v) if scalar else v
 
     def inverse(self, y):
-        if self._spline is not None and isinstance(y, (float, int)):
-            return _spline_inverse_scalar(self._spline, _check_scalar(y, "y"))
+        if isinstance(y, (float, int)):
+            return self._inverse(_check_scalar(y, "y"))
         a, scalar = _as_array(y)
         _check_domain(a, what="y")
         v = self._inverse(a)
@@ -279,6 +281,8 @@ class GeneratorMap:
             c = self.params["c"]
             t = a * (1.0 - a)
             return a + c * t * t
+        if isinstance(a, float):
+            return _spline_value_scalar(self._spline, a)
         return _spline_value(self._spline, a)
 
     def _deriv(self, a):
@@ -290,6 +294,8 @@ class GeneratorMap:
         if fam == "polybump":
             c = self.params["c"]
             return 1.0 + 2.0 * c * a * (1.0 - a) * (1.0 - 2.0 * a)
+        if isinstance(a, float):
+            return _spline_deriv_scalar(self._spline, a)
         return _spline_deriv(self._spline, a)
 
     def _inverse(self, a):
@@ -299,8 +305,12 @@ class GeneratorMap:
             inv = 1.0 / lam
             return inv * a / ((1.0 - a) + inv * a)
         if fam == "polybump":
+            if isinstance(a, float):
+                return _invert_monotone_scalar(self._value, self._deriv, a)
             return _invert_monotone(self._value, self._deriv, a,
                                     np.zeros_like(a), np.ones_like(a))
+        if isinstance(a, float):
+            return _spline_inverse_scalar(self._spline, a)
         return _spline_inverse(self._spline, a)
 
     # -- certified local analysis -------------------------------------------
@@ -473,6 +483,24 @@ def _invert_monotone(value_fn, deriv_fn, y, lo, hi,
 
 # The scalar path: the array code above on Python floats.  ``bisect_right``
 # is ``searchsorted(side="right")`` and min/max is ``np.clip``.
+
+def _invert_monotone_scalar(value_fn, deriv_fn, y: float) -> float:
+    """``_invert_monotone`` on one float over the bracket [0, 1]."""
+    lo, hi = 0.0, 1.0
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if value_fn(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(NEWTON_STEPS):
+        x = min(max(x - (value_fn(x) - y) / deriv_fn(x), lo), hi)
+    resid = abs(value_fn(x) - y)
+    if not resid <= INVERSE_TOL:
+        raise NumericError(f"inverse did not converge (residual {resid:g})")
+    return x
+
 
 def _segment(knots, t) -> int:
     return min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)

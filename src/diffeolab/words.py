@@ -12,8 +12,6 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .generators import GeneratorSet, Letter
 
@@ -125,11 +123,9 @@ def enumerate_positive(pair: tuple[str, str], max_len: int):
     """
     if max_len < 1:
         raise DomainError("max_len must be at least 1")
-    a, b = (Letter(pair[0], 1), Letter(pair[1], 1))
+    symbols = (Letter(pair[0], 1), Letter(pair[1], 1))
     for length in range(1, max_len + 1):
-        for bits in range(1 << length):
-            letters = tuple(b if (bits >> (length - 1 - i)) & 1 else a
-                            for i in range(length))
+        for letters in itertools.product(symbols, repeat=length):
             yield Word(letters)
 
 
@@ -141,46 +137,73 @@ def positive_count(max_len: int) -> int:
 
 @dataclass(frozen=True)
 class SphereLevel:
-    """Sphere words of one length as flat arrays.
+    """Sphere words of one length, described by offsets alone.
 
-    ``parent[i]`` is the row of word i's suffix in the previous level.  Rows
-    are grouped by leading (leftmost) letter: alphabet letter s leads exactly
-    the rows ``offsets[s]:offsets[s + 1]`` (all offsets of level 0, the
-    empty word, are 0).  Row order is the canonical lexicographic order, so
-    indices double as tie-breakers.
+    Rows are grouped by leading (leftmost) letter: alphabet letter s leads
+    exactly the rows ``offsets[s]:offsets[s + 1]`` (all offsets of level 0,
+    the empty word, are 0).  Row order is the canonical lexicographic order,
+    so indices double as tie-breakers.  A row's suffix (the word without its
+    leading letter) is a row of the previous level, whose offsets and size
+    are kept as ``prev_offsets`` and ``prev_size``: letter s leads every
+    previous row outside the block of its inverse s ^ 1, in order, so its
+    rows map onto two contiguous runs of suffix rows (see ``suffix_slices``).
     """
 
     n: int
-    parent: np.ndarray
     offsets: tuple[int, ...]
+    prev_offsets: tuple[int, ...]
+    prev_size: int
 
     @property
     def size(self) -> int:
-        return len(self.parent)
+        return self.offsets[-1] if self.n else 1
 
     def rows(self, s: int) -> slice:
         """The rows led by alphabet letter ``s``."""
         return slice(self.offsets[s], self.offsets[s + 1])
 
+    def suffix_slices(self, s: int | None = None):
+        """Yield ``(rows, suffix_rows)`` slice pairs for letter ``s``, or for
+        every letter when ``s`` is None.
+
+        With ``[a, b)`` the previous level's block of s ^ 1, the first ``a``
+        rows of s take suffix rows ``0:a`` and the rest take ``b:prev_size``.
+        """
+        letters = range(len(self.offsets) - 1) if s is None else (s,)
+        for t in letters:
+            a, b = self.prev_offsets[t ^ 1], self.prev_offsets[(t ^ 1) + 1]
+            cut = self.offsets[t] + a
+            if a:
+                yield slice(self.offsets[t], cut), slice(0, a)
+            if b < self.prev_size:
+                yield slice(cut, self.offsets[t + 1]), slice(b, self.prev_size)
+
+    def suffix_row(self, idx: int) -> tuple[int, int]:
+        """(leading letter, suffix row) of row ``idx``."""
+        s = bisect_right(self.offsets, idx) - 1
+        r = idx - self.offsets[s]
+        a = self.prev_offsets[s ^ 1]
+        return s, (r if r < a else r - a + self.prev_offsets[(s ^ 1) + 1])
+
 
 def sphere_levels(S: GeneratorSet, n_max: int, cap: int | None = None):
-    """Level arrays for spheres 0..n_max (level 0 is the empty word).
+    """Level descriptions for spheres 0..n_max (level 0 is the empty word).
 
     Stops early when the cumulative word count would exceed ``cap``; callers
     treat a short list as a partial enumeration.
     """
     k = len(S.alphabet)
-    levels = [SphereLevel(0, np.array([-1], dtype=np.int64), (0,) * (k + 1))]
+    levels = [SphereLevel(0, (0,) * (k + 1), (), 0)]
     total = 1
     for n in range(1, n_max + 1):
         # Letter s may lead every suffix except those led by its inverse.
-        rows = np.arange(levels[-1].size, dtype=np.int64)
-        parts = [np.concatenate([rows[:cut.start], rows[cut.stop:]])
-                 for cut in (levels[-1].rows(s ^ 1) for s in range(k))]
-        offsets = tuple(itertools.accumulate((len(p) for p in parts), initial=0))
+        prev = levels[-1]
+        counts = (prev.size - (prev.offsets[(s ^ 1) + 1] - prev.offsets[s ^ 1])
+                  for s in range(k))
+        offsets = tuple(itertools.accumulate(counts, initial=0))
         if cap is not None and total + offsets[-1] > cap:
             break
-        levels.append(SphereLevel(n, np.concatenate(parts), offsets))
+        levels.append(SphereLevel(n, offsets, prev.offsets, prev.size))
         total += offsets[-1]
     return levels
 
@@ -189,9 +212,8 @@ def level_word(levels, n: int, idx: int, S: GeneratorSet) -> Word:
     """Reconstruct the word at (level n, row idx)."""
     letters = []
     for m in range(n, 0, -1):
-        lev = levels[m]
-        letters.append(S.alphabet[bisect_right(lev.offsets, idx) - 1])
-        idx = int(lev.parent[idx])
+        s, idx = levels[m].suffix_row(idx)
+        letters.append(S.alphabet[s])
     return Word(tuple(letters))
 
 

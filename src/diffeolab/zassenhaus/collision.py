@@ -196,7 +196,9 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
         np.log(logd, out=logd)
         for s in range(1, len(S.alphabet), 2):  # inverse letters
             np.negative(logd[lev.rows(s)], out=logd[lev.rows(s)])
-        logds = np.add(logds[lev.parent], logd, out=logd)
+        for rows, src in lev.suffix_slices():
+            np.add(logds[src], logd[rows], out=logd[rows])
+        logds = logd
         width_v = params.lam ** float(-m)
         j_keys = np.floor(vals / width_v).astype(np.int64)
         _, counts = np.unique(j_keys, return_counts=True)

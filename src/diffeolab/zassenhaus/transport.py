@@ -104,8 +104,9 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
         lev = levels[m]
         new_lo, new_hi = next(orbits)
         new_len = new_hi - new_lo
-        violations = int(np.count_nonzero(
-            new_len < factor * lengths[lev.parent] - 1e-15))
+        violations = sum(
+            int(np.count_nonzero(new_len[rows] < factor * lengths[src] - 1e-15))
+            for rows, src in lev.suffix_slices())
         total = float(np.sum(new_len))
         bound = (factor * params.lam) ** m * delta.length
         applicable = lev.size >= params.lam ** m

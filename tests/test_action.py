@@ -211,7 +211,10 @@ def test_sphere_orbits_match_word_application(S):
             vals, ders = level[j], level[2 + j].copy()
             for s in (1, 3):  # inverse letters contribute 1 / g'(pre)
                 ders[lev.rows(s)] = 1.0 / ders[lev.rows(s)]
-            products[j] = ders * products[j][lev.parent]
+            product = np.full(lev.size, np.nan)
+            for rows, src in lev.suffix_slices():
+                product[rows] = ders[rows] * products[j][src]
+            products[j] = product
             for i in range(lev.size):
                 w = level_word(levels, m, i, S)
                 assert vals[i] == word_values(w, [x0], S)[0]

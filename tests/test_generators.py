@@ -11,7 +11,8 @@ import diffeolab as dl
 from diffeolab.config import build_generator_set, load_config
 import diffeolab.generators as generators
 from diffeolab.generators import (INVERSE_BLOCK, NEWTON_STEPS, SCALAR_INVERSE_MAX,
-                                  TREE_DEPTH, _invert_monotone, _spline_deriv,
+                                  TREE_DEPTH, _invert_monotone,
+                                  _invert_monotone_scalar, _spline_deriv,
                                   _spline_inverse, _spline_inverse_scalar,
                                   _spline_value, build_pp, blend, mobius,
                                   polybump, spline)
@@ -246,6 +247,19 @@ def test_spline_scalar_path_bitwise_equals_array_path(gmap):
         assert type(op(np.array(pts[0]))) is float and op(1) == op(1.0)
 
 
+@pytest.mark.parametrize("gmap", all_test_maps(), ids=lambda g: g.id)
+def test_float_path_bitwise_equals_array_path_every_family(gmap):
+    pts = np.concatenate([[0.0, 1.0], RNG.random(2000)])
+    for op in (gmap.value, gmap.deriv, gmap.inverse):
+        scalar = [op(p) for p in pts.tolist()]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(bits(scalar), bits(op(pts)))
+        assert np.array_equal(bits(scalar[:40]), bits([op(np.array(p)) for p in pts[:40]]))
+        assert op(0) == op(0.0) and op(1) == op(1.0)
+        with pytest.raises(DomainError):
+            op(math.nan)
+
+
 @pytest.mark.parametrize("n", [SCALAR_INVERSE_MAX, INVERSE_BLOCK + 1])
 def test_spline_inverse_keeps_shape_and_values(n):
     f = build_pp()["f"]
@@ -346,3 +360,5 @@ def test_inverse_residual_check_fails_closed_on_nan():
     with pytest.raises(NumericError):
         _invert_monotone(lambda t: t * math.nan, np.ones_like,
                          np.array([0.5]), 0.0, 1.0)
+    with pytest.raises(NumericError):
+        _invert_monotone_scalar(lambda t: t * math.nan, lambda t: 1.0, 0.5)

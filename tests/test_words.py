@@ -1,6 +1,7 @@
 """Free-word algebra: reduction, enumeration, counting, serialization."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,7 +114,59 @@ def test_level_offsets_group_rows_by_leading_letter(wreath):
         for s in range(4):
             assert np.array_equal(np.arange(lev.size)[lev.rows(s)],
                                   np.nonzero(leading == s)[0])
-        assert lev.parent.tolist() == [row_of_suffix[t[1:]] for t in words]
+        parent = np.full(lev.size, -1)
+        for rows, src in lev.suffix_slices():
+            parent[rows] = np.arange(src.start, src.stop)
+        assert parent.tolist() == [row_of_suffix[t[1:]] for t in words]
+
+
+@pytest.mark.parametrize("wreath", [False, True])
+def test_suffix_slices_partition_rows(wreath):
+    T = (dl.build_wreath_pair(epsilon=0.1, core=(0.40, 0.42), k=3).generator_set
+         if wreath else S)
+    levels = sphere_levels(T, 6)
+    for n in range(1, 7):
+        lev = levels[n]
+        row_of_suffix = {t: i for i, t in enumerate(reduced_index_tuples(n - 1))}
+        want = [row_of_suffix[t[1:]] for t in reduced_index_tuples(n)]
+        covered = np.zeros(lev.size, dtype=int)
+        for s in range(4):
+            for rows, src in lev.suffix_slices(s):
+                assert lev.offsets[s] <= rows.start < rows.stop <= lev.offsets[s + 1]
+                assert rows.stop - rows.start == src.stop - src.start
+                covered[rows] += 1
+                assert list(range(src.start, src.stop)) == want[rows]
+                assert [lev.suffix_row(i) for i in range(rows.start, rows.stop)] \
+                    == [(s, j) for j in range(src.start, src.stop)]
+        assert np.all(covered == 1)
+        assert [p for s in range(4) for p in lev.suffix_slices(s)] \
+            == list(lev.suffix_slices())
+
+
+def test_level_word_at_radius_14():
+    T = dl.build_wreath_pair(epsilon=0.1, core=(0.40, 0.42), k=3).generator_set
+    levels = sphere_levels(T, 14)
+    lev = levels[14]
+    assert lev.size == sphere_size(2, 14)
+    for idx in RNG.integers(0, lev.size, 1000).tolist():
+        w = level_word(levels, 14, idx, T)
+        assert len(w) == 14
+        assert reduce_letters(w.letters).letters == w.letters
+        s, suffix = lev.suffix_row(idx)
+        assert w.letters[0] == T.alphabet[s]
+        assert w.letters[1:] == level_word(levels, 13, suffix, T).letters
+
+
+def test_sphere_levels_allocate_no_per_word_arrays():
+    T = dl.build_wreath_pair(epsilon=0.1, core=(0.40, 0.42), k=3).generator_set
+    tracemalloc.start()
+    try:
+        levels = sphere_levels(T, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(lev.size for lev in levels) == sum(sphere_size(2, n) for n in range(15))
+    assert peak < 1 << 20
 
 
 def test_prefix_blocks_partition_sphere():
@@ -140,6 +193,13 @@ def test_positive_counts_exact():
     for k in range(1, 21):
         assert positive_count(k) == 2 ** (k + 1) - 2
     assert sum(1 for _ in enumerate_positive(("a", "b"), 20)) == positive_count(20)
+
+
+def test_positive_order_matches_bit_loop():
+    a, b = Letter("a", 1), Letter("b", 1)
+    old = [tuple(b if (bits >> (length - 1 - i)) & 1 else a for i in range(length))
+           for length in range(1, 13) for bits in range(1 << length)]
+    assert [w.letters for w in enumerate_positive(("a", "b"), 12)] == old
 
 
 def test_positive_words_are_positive_and_ordered():
