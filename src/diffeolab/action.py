@@ -198,20 +198,23 @@ def check_c1_ball(S: GeneratorSet, epsilon: float) -> None:
 # -- sphere orbits -------------------------------------------------------------
 
 def map_row_chunks(fn, xs: np.ndarray, outs, threads: int) -> None:
-    """Write ``fn(xs[a:b])`` into ``outs[i][a:b]`` over row chunks of ``xs``.
+    """Write ``fn(xs[a:b])`` into ``outs[i][a:b]`` over row blocks of ``xs``.
 
     ``fn`` returns one array per output.  Inputs of at least ``_PARALLEL_MIN``
-    elements are split along axis 0 into ``threads`` chunks on a thread pool;
-    every row is computed alike in any chunk, so results do not depend on
-    ``threads``.
+    elements are split along axis 0 into ``threads`` chunks on a thread pool,
+    and each chunk runs in blocks of about ``_PARALLEL_MIN`` elements, so no
+    temporary of ``fn`` grows with ``xs``.  Every row is computed alike in
+    any block, so results do not depend on ``threads``.
     """
     chunks = threads if threads > 1 and xs.size >= _PARALLEL_MIN else 1
     bounds = np.linspace(0, len(xs), chunks + 1).astype(int)
+    step = max(1, _PARALLEL_MIN // math.prod(xs.shape[1:]))
 
     def work(k):
-        a, b = bounds[k], bounds[k + 1]
-        for out, part in zip(outs, fn(xs[a:b])):
-            out[a:b] = part
+        for a in range(bounds[k], bounds[k + 1], step):
+            b = min(a + step, bounds[k + 1])
+            for out, part in zip(outs, fn(xs[a:b])):
+                out[a:b] = part
 
     if chunks == 1:
         work(0)
@@ -304,16 +307,17 @@ class _MinTracker:
         self.zero_count = 0
         self.min_positive = math.inf
 
-    def update(self, vals: np.ndarray, n: int):
+    def update(self, vals: np.ndarray, n: int, offset: int = 0):
+        """Fold in level ``n``'s rows ``offset, offset + 1, ...``; blocks of a
+        level must come in row order, so ties keep the first row."""
         zero = vals <= ZERO_TOL
         self.zero_count += int(np.count_nonzero(zero))
-        if not np.all(zero):
-            self.min_positive = min(self.min_positive,
-                                    float(np.min(vals[~zero])))
+        self.min_positive = min(self.min_positive, float(
+            np.min(vals, where=~zero, initial=math.inf)))
         k = int(np.argmin(vals))
         if vals[k] < self.value:
             self.value = float(vals[k])
-            self.where = (n, k)
+            self.where = (n, offset + k)
 
 
 def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
@@ -321,7 +325,9 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
     """Exact minima over every nontrivial reduced word of length <= n.
 
     Evaluation walks sphere levels with vectorized letter application; workers
-    only split array chunks, so results are independent of ``threads``.
+    only split array chunks, so results are independent of ``threads``.  The
+    values and derivative products of levels m - 1 and m are all it keeps;
+    kernels and minima run on blocks of ``_PARALLEL_MIN`` rows.
     """
     if n < 1:
         raise PreconditionError("ball probe needs radius n >= 1")
@@ -333,20 +339,29 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
     complete = len(levels) == n + 1
     ders = np.array([1.0])
     disp_t, gap_t = _MinTracker(), _MinTracker()
+    buf = np.empty(_PARALLEL_MIN)
     rows = []
+
+    def track(tracker, arr, target, m):
+        # |arr - target| one block at a time, through the one buffer.
+        for a in range(0, arr.size, _PARALLEL_MIN):
+            part = arr[a:a + _PARALLEL_MIN]
+            gap = np.subtract(part, target, out=buf[:part.size])
+            tracker.update(np.abs(gap, out=gap), m, a)
+
     orbits = sphere_orbits(S, levels, [x0], derivs=deriv_gap, threads=threads)
     for m, level in enumerate(orbits, start=1):
         vals = np.clip(level[0], 0.0, 1.0, out=level[0])
         if displacement:
-            disp_t.update(np.abs(vals - x0), m)
+            track(disp_t, vals, x0, m)
         if deriv_gap:
             lev, d = levels[m], level[1]
             for s in range(1, len(S.alphabet), 2):  # inverse letters
-                d[lev.rows(s)] = 1.0 / d[lev.rows(s)]
+                np.divide(1.0, d[lev.rows(s)], out=d[lev.rows(s)])
             for dst, src in lev.suffix_slices():
                 np.multiply(d[dst], ders[src], out=d[dst])
             ders = d
-            gap_t.update(np.abs(ders - 1.0), m)
+            track(gap_t, ders, 1.0, m)
         rows.append((m,
                      disp_t.value if displacement else None,
                      gap_t.value if deriv_gap else None))

@@ -17,7 +17,7 @@ from .action import GridSpec, probe_ball
 from .certify import Interval, check_endpoint_slopes, check_pingpong, \
     positive_pair_separation, scan_endpoint_delta
 from .config import (COMMANDS, ExperimentConfig, build_generator_set, fval,
-                     ival, load_config, pair_val)
+                     ival, load_config, pair_val, wreath_args)
 from .errors import (CapExhausted, ConfigError, ConstructionError, DomainError,
                      LabError, NumericError, PreconditionError)
 from .generators import GeneratorSet
@@ -108,10 +108,7 @@ def _wreath_cmd(cfg: ExperimentConfig, out_dir: str):
     from .zassenhaus.wreath import build_wreath_pair
 
     w = cfg.wreath or cfg.params
-    pair = build_wreath_pair(
-        epsilon=fval(w, "epsilon", 0.1),
-        core=tuple(float(t) for t in w.get("core", "0.40,0.42").split(",")),
-        k=ival(w, "k", 3))
+    pair = build_wreath_pair(**wreath_args(w))
     probe = None
     if "probe_x0" in w:
         probe = probe_ball(pair.generator_set, ival(w, "probe_n", 6),
@@ -230,6 +227,9 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg.out_dir = args.out
     if args.threads is not None:
+        if args.threads < 1:
+            print("config error: threads must be positive", file=sys.stderr)
+            return STATUS_CONFIG
         cfg.threads = args.threads
     result = run_experiment(cfg)
     print(f"{result.summary} [{result.wall_time:.2f}s] "

@@ -88,11 +88,7 @@ def build_generator_set(cfg: ExperimentConfig):
             raise ConfigError("preset pp takes no extra generator lines")
         return build_pp(), None
     if preset == "wreath":
-        w = cfg.wreath
-        pair = build_wreath_pair(
-            epsilon=float(w.get("epsilon", 0.1)),
-            core=tuple(float(t) for t in w.get("core", "0.40,0.42").split(",")),
-            k=int(w.get("k", 3)))
+        pair = build_wreath_pair(**wreath_args(cfg.wreath))
         return pair.generator_set, pair
     if preset is not None:
         raise ConfigError(f"unknown preset {preset!r}")
@@ -155,6 +151,15 @@ def ival(params: dict, key: str, default=None) -> int:
 def pair_val(params: dict, key: str, default: str) -> tuple[float, float]:
     raw = params.get(key, default)
     parts = [p for p in raw.replace(",", " ").split() if p]
-    if len(parts) != 2:
-        raise ConfigError(f"parameter {key!r} needs two numbers")
-    return float(parts[0]), float(parts[1])
+    try:
+        a, b = map(float, parts)
+    except ValueError:
+        raise ConfigError(f"parameter {key!r} needs two numbers") from None
+    return a, b
+
+
+def wreath_args(w: dict) -> dict:
+    """``build_wreath_pair``'s epsilon, core and k from a [wreath] section."""
+    return {"epsilon": fval(w, "epsilon", 0.1),
+            "core": pair_val(w, "core", "0.40,0.42"),
+            "k": ival(w, "k", 3)}

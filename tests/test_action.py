@@ -1,16 +1,18 @@
 """Word application: orbit traces, chain rule, certified distances, probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.action import _PARALLEL_MIN, GridSpec, apply_word, c0_dist_to_id, \
-    c1_dist_to_id, map_row_chunks, probe_ball, sphere_orbits, word_deriv_bounds, \
-    word_values
+from diffeolab.action import _PARALLEL_MIN, GridSpec, _MinTracker, apply_word, \
+    c0_dist_to_id, c1_dist_to_id, map_row_chunks, probe_ball, sphere_orbits, \
+    word_deriv_bounds, word_values, word_values_derivs
 from diffeolab.generators import Letter, build_pp, mobius, polybump
-from diffeolab.words import EMPTY, Word, level_word, reduce_letters, sphere_levels
+from diffeolab.words import EMPTY, Word, level_word, reduce_letters, sphere_levels, \
+    sphere_size
 
 PP = build_pp()
 SMOOTH = dl.GeneratorSet([mobius("f", 1.6), polybump("g", 1.2)])
@@ -198,6 +200,58 @@ def test_probe_thread_count_invariant():
 
 
 WREATH = dl.build_wreath_pair(epsilon=0.1, core=(0.40, 0.42), k=3).generator_set
+
+
+@pytest.mark.parametrize("S, x0", [(PP, 0.41), (WREATH, 0.405)], ids=["pp", "wreath"])
+def test_probe_reports_thread_invariant_at_radius_12(S, x0):
+    # Some letter slice reaches _PARALLEL_MIN, so the pool really runs.
+    assert max(src.stop - src.start
+               for _, src in sphere_levels(S, 12)[12].suffix_slices()) >= _PARALLEL_MIN
+    one = probe_ball(S, 12, x0, threads=1)
+    three = probe_ball(S, 12, x0, threads=3)
+    assert one == three
+    assert len(one.rows) == 12 and one.complete
+    # The argmin words reproduce the minima, so block offsets are right.
+    assert abs(word_values(one.argmin_displacement, [x0], S)[0] - x0) \
+        == one.min_displacement
+    ds = word_values_derivs(one.argmin_deriv_gap, [x0], S)[1]
+    assert abs(ds[0] - 1.0) == pytest.approx(one.min_deriv_gap, rel=1e-9, abs=1e-13)
+    if S is WREATH:  # words acting trivially at x0 give exact zeros
+        assert one.zero_displacement_words > 0 and one.zero_deriv_gap_words > 0
+
+
+def test_min_tracker_blocks_equal_whole_array():
+    block = 4
+    cases = [
+        [3.0, 2.0, 4.0, 5.0, 6.0, 0.5, 7.0, 0.5, 9.0],   # minimum past block 0
+        [3.0, 1.0, 4.0, 5.0, 1.0, 2.0, 6.0],             # tie across a boundary
+        [0.0, 2.0, 5e-14, 3.0, 0.0, 1.0, 0.0, 0.5],      # exact and noise zeros
+        [2.0, 0.25, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 4.0],  # a block of only zeros
+        [0.0, 0.0, 0.0, 0.0, 0.0],                       # nothing positive
+    ]
+    for vals in map(np.array, cases):
+        whole, blocks = _MinTracker(), _MinTracker()
+        for m in (1, 2):  # a second level never moves an equal minimum
+            whole.update(vals, m)
+            for a in range(0, vals.size, block):
+                blocks.update(vals[a:a + block], m, a)
+        assert vars(blocks) == vars(whole)
+        k = int(np.argmin(vals))
+        assert whole.where == (1, k) and whole.value == vals[k]
+        assert whole.zero_count == 2 * np.count_nonzero(vals <= dl.action.ZERO_TOL)
+    assert whole.min_positive == math.inf
+
+
+def test_probe_working_set_is_two_levels():
+    tracemalloc.start()
+    try:
+        probe_ball(PP, 13, 0.41, threads=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Values and derivative products of levels 12 and 13.
+    kept = 2 * 8 * (sphere_size(2, 12) + sphere_size(2, 13))
+    assert peak <= 1.3 * kept
 
 
 @pytest.mark.parametrize("S", [PP, WREATH], ids=["pp", "wreath"])

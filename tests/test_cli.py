@@ -90,6 +90,32 @@ def test_config_validation(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize("command, text", [
+    ("certify", "[generators]\npreset = pp\n\n[certify]\ni = 0.25,abc\n"),
+    ("transport", "[generators]\npreset = wreath\n\n[wreath]\ncore = 0.40,zz\n\n"
+                  "[transport]\nx0 = 0.41\ndelta_len = 0.05\nepsilon = 0.1\n"
+                  "lambda = 1.1\n"),
+    ("transport", "[generators]\npreset = wreath\n\n[wreath]\nepsilon = abc\n\n"
+                  "[transport]\nx0 = 0.41\ndelta_len = 0.05\nepsilon = 0.1\n"
+                  "lambda = 1.1\n"),
+    ("wreath", "[wreath]\ncore = 0.40,zz\n"),
+    ("wreath", "[wreath]\nk = three\n"),
+], ids=["certify-i", "transport-core", "transport-epsilon", "wreath-core", "wreath-k"])
+def test_malformed_numbers_are_config_errors(tmp_path, command, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[experiment]\ncommand = {command}\n\n{text}")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_config_error(tmp_path, capsys, threads):
+    rc = main(["probe", "--config", cfg_path("probe_pp.ini"),
+               "--out", str(tmp_path / "o"), "--threads", threads])
+    assert rc == 4
+    assert "threads must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_empty_probe_report_header_only(tmp_path):
     rep = ProbeReport(x0=0.5, n=0, complete=True)
     paths = emit_probe(rep, str(tmp_path))
