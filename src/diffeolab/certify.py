@@ -158,7 +158,8 @@ def check_endpoint_slopes(S: GeneratorSet, side: int, delta: float,
 
 def scan_endpoint_delta(S: GeneratorSet, side: int, theta: float,
                         start: float = 0.25, max_halvings: int = 60) -> float:
-    """Smallest ``start / 2^k`` that passes the endpoint slope check.
+    """First ``start / 2^k``, halving from ``start``, that passes the
+    endpoint slope check: the largest delta of that form that passes.
 
     Deterministic and guaranteed to terminate for alphabets whose letters all
     have unit derivative at the endpoint; otherwise raises.

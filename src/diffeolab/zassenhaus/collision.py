@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from ..action import apply_word, check_c1_ball, sphere_orbits
 from ..errors import DomainError, PreconditionError
 from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
+from .pairs import pick_pair
 
 
 def _bracket_n1(eta: float, c1: float, cap: int = 10_000_000) -> int | None:
@@ -75,11 +76,7 @@ class CollisionParams:
         if lam1 is None:
             lam1 = 1.05 * self.lam * (1.0 + self.epsilon) / (1.0 - self.epsilon)
         lam2 = self.lam2 if self.lam2 is not None else 1.05 * lam1
-        return CollisionParams(x0=self.x0, c=self.c, lam=self.lam,
-                               epsilon=self.epsilon, c1=c1, lam1=lam1,
-                               lam2=lam2, eta=eta, n_max=self.n_max,
-                               word_cap=self.word_cap,
-                               time_budget_s=self.time_budget_s)
+        return replace(self, c1=c1, lam1=lam1, lam2=lam2, eta=eta)
 
     def validate(self) -> None:
         if not 0.0 < self.x0 < 1.0:
@@ -138,39 +135,30 @@ class CollisionReport:
 
 def _bucket_pair(vals, logds, width_v, width_d, nf_of_idx):
     """Earliest same-(value, derivative)-bucket pair, preferring distinct
-    normal forms; returns (i1, i2, certified) or None."""
-    j = np.floor(vals / width_v).astype(np.int64)
-    sub = np.floor(logds / width_d).astype(np.int64)
-    order = np.lexsort((np.arange(len(vals)), sub, j))
+    normal forms under ``nf_of_idx`` (index -> form); returns
+    (i1, i2, certified) or None.  Buckets go in key order, rows of one
+    bucket in index order, the first row being the anchor."""
+    j = np.floor(vals / width_v)
+    sub = np.floor(logds / width_d)
+    order = np.lexsort((sub, j))
     jj, ss = j[order], sub[order]
-    fallback = None
-    k = 0
-    while k < len(jj):
-        end = k
-        while end + 1 < len(jj) and jj[end + 1] == jj[k] and ss[end + 1] == ss[k]:
-            end += 1
-        if end > k:
-            members = order[k:end + 1]
-            if nf_of_idx is None:
-                return int(members[0]), int(members[1]), False
-            first_nf = nf_of_idx(int(members[0]))
-            for other in members[1:]:
-                if nf_of_idx(int(other)) != first_nf:
-                    return int(members[0]), int(other), True
-            if fallback is None:
-                fallback = (int(members[0]), int(members[1]), False)
-        k = end + 1
-    return fallback
+    cut = np.flatnonzero((jj[1:] != jj[:-1]) | (ss[1:] != ss[:-1])) + 1
+    starts, ends = np.r_[0, cut], np.r_[cut, len(order)]
+    multi = ends - starts > 1
+    groups = ((order[a], order[a + 1:b])
+              for a, b in zip(starts[multi], ends[multi]))
+    return pick_pair(groups, nf_of_idx)
 
 
 def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
                                 nf=None) -> CollisionReport:
     """Level-by-level bucket search for a star-1/star-2 pair.
 
-    Accepts the first pair whose pulled-back derivative lands in
-    (1 - C, 1 + C); pairs failing that final containment are skipped.  With a
-    normal form available, pairs distinct as group elements are preferred and
-    the report certifies distinctness through it.
+    Each level offers one pair, the canonical one of ``_bucket_pair``.  It is
+    accepted when it passes star-1, star-2 and V'(x0) in (1 - C, 1 + C);
+    otherwise the search moves on to the next level.  With a normal form
+    available, pairs distinct as group elements are preferred and the report
+    certifies distinctness through it.
     """
     params = params.resolved()
     params.validate()
@@ -200,17 +188,9 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
             np.add(logds[src], logd[rows], out=logd[rows])
         logds = logd
         width_v = params.lam ** float(-m)
-        j_keys = np.floor(vals / width_v).astype(np.int64)
-        _, counts = np.unique(j_keys, return_counts=True)
-        nf_cache: dict[int, object] = {}
-
-        def nf_of_idx(i, _m=m, _lev_cache=nf_cache):
-            if i not in _lev_cache:
-                _lev_cache[i] = nf(level_word(levels, _m, i, S))
-            return _lev_cache[i]
-
+        _, counts = np.unique(np.floor(vals / width_v), return_counts=True)
         pair = _bucket_pair(vals, logds, width_v, width_d,
-                            nf_of_idx if nf else None)
+                            nf and (lambda i: nf(level_word(levels, m, i, S))))
         accepted = False
         if pair is not None:
             i1, i2, certified = pair

@@ -224,18 +224,17 @@ def pigeonhole_bound(M: float, m: int, theta_n: float, N: int,
     return n
 
 
-def _decode_candidate(level: int, idx: int, alpha: Word, beta: Word) -> Word:
-    """Candidate word U beta alpha for row ``idx`` of level ``level``."""
-    symbols = []
-    size = 1 << (level - 1)
-    for _ in range(level):
-        symbols.append(beta if idx >= size else alpha)
-        idx %= size
-        size >>= 1
+def _candidate_word(idx: int, alpha: Word, beta: Word) -> Word:
+    """Candidate word U beta alpha for candidate row ``idx``.
+
+    Level n holds rows 2^n - 2 ... 2^(n+1) - 3, so idx + 2 has n bits below
+    its leading one; they spell U from the left, 1 for beta.  Appending the
+    bits 1, 0 spells the trailing beta alpha.
+    """
     out = EMPTY
-    for s in symbols:
-        out = concat_reduce(out, s)
-    return concat_reduce(concat_reduce(out, beta), alpha)
+    for bit in bin(idx + 2)[3:] + "10":
+        out = concat_reduce(out, beta if bit == "1" else alpha)
+    return out
 
 
 def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
@@ -294,24 +293,19 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     except CapExhausted:
         report.theoretical_n = None
 
-    levels = [base_mat]                  # levels[k] has 2^k rows for k >= 1
-    all_rows = None
+    all_rows = base_mat[:0]              # level n is the last 2^n rows
     lemma1_min = math.inf
     for n in range(1, params.n_max + 1):
         if deadline and time.monotonic() > deadline:
             report.status = "time_budget"
             break
-        prev = levels[-1]
+        prev = all_rows[len(all_rows) // 2 - 1:] if n > 1 else base_mat
         new = np.empty((2 * len(prev), prev.shape[1]))
         map_row_chunks(lambda rows: (word_values(alpha, rows, S),
                                      word_values(beta, rows, S)),
                        prev, [new[:len(prev)], new[len(prev):]], threads)
-        levels.append(new)
         report.candidates_total += len(new)
-        if all_rows is None:
-            all_rows = new
-        else:
-            all_rows = np.vstack([all_rows, new])
+        all_rows = np.vstack([all_rows, new])
 
         # Candidate audits: value at z0 (never below z0) and at z.
         lemma1_min = min(lemma1_min, float(np.min(new[:, n_grid] - z0)))
@@ -325,8 +319,8 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
         level_status = "open"
         if pair is not None:
             i1, i2 = pair
-            g1 = _decode_row(i1, levels, alpha, beta)
-            g2 = _decode_row(i2, levels, alpha, beta)
+            g1 = _candidate_word(i1, alpha, beta)
+            g2 = _candidate_word(i2, alpha, beta)
             h1 = concat_reduce(g1, W)
             h2 = concat_reduce(g2, W)
             v = concat_reduce(invert(h1), h2)
@@ -364,7 +358,7 @@ def _closest_same_bucket(rows, width):
     bucket sit next to each other.  The pair is the adjacent same-bucket
     pair with the smallest L-inf distance, as sorted row indices.
     """
-    keys = np.floor(rows / width).astype(np.int64)
+    keys = np.floor(rows / width)
     order = np.lexsort((rows[:, 0], *keys.T[::-1]))
     sorted_keys = keys[order]
     same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
@@ -376,16 +370,6 @@ def _closest_same_bucket(rows, width):
     linf[~same] = np.inf
     k = int(np.argmin(linf))
     return buckets, tuple(sorted((int(order[k]), int(order[k + 1]))))
-
-
-def _decode_row(global_idx: int, levels, alpha: Word, beta: Word) -> Word:
-    offset = 0
-    for lvl in range(1, len(levels)):
-        size = len(levels[lvl])
-        if global_idx < offset + size:
-            return _decode_candidate(lvl, global_idx - offset, alpha, beta)
-        offset += size
-    raise IndexError("candidate index out of range")
 
 
 def _final_audits(report: FlattenReport, S: GeneratorSet, grid: GridSpec,

@@ -22,6 +22,7 @@ from ..certify import Interval
 from ..errors import DomainError
 from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
+from .pairs import pick_pair
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
     """Run the per-level transport sums and the overlap pair search.
 
     ``nf`` optionally maps a word to an exact group normal form; when given,
-    pairs equal as group elements are skipped in favor of the canonically
-    first pair with distinct forms, and distinctness is certified by the
-    form.  Without it, distinctness falls back to grid separation.
+    pairs with distinct forms are preferred (within ``_find_overlap``'s
+    anchor limit), and such a pair's distinctness is certified by the form.
+    Otherwise distinctness falls back to grid separation.
     """
     delta = params.delta
     if not (0.0 < delta.lo and delta.hi < 1.0):
@@ -116,9 +117,9 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
             bound_ok=(total > bound) or not applicable,
             transition_violations=violations))
         lengths = new_len
-        all_lo.append(new_lo)
-        all_hi.append(new_hi)
         if found is None:
+            all_lo.append(new_lo)
+            all_hi.append(new_hi)
             found = _find_overlap(all_lo, all_hi, nf, levels, S)
     if found is not None:
         j_lev, j_idx, i_lev, i_idx, certified = found
@@ -146,44 +147,29 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
 
 
 def _find_overlap(all_lo, all_hi, nf, levels, S):
-    """Earliest canonical pair with point-in-interval overlap.
+    """Earliest canonical pair with point-in-interval overlap, as
+    ``(j_lev, j_idx, i_lev, i_idx, certified)``.
 
     Candidate j supplies the point g_j(x0); candidate i supplies the
-    interval.  With a normal form available the scan prefers pairs distinct
-    as group elements and only falls back to a word-distinct pair when no
-    such pair exists yet.
+    interval.  Anchors are the covered points in canonical order; with a
+    normal form, ``pick_pair`` stops 64 anchors in once a word-distinct
+    fallback exists.
     """
-    flat_lo = np.concatenate(all_lo)
-    flat_hi = np.concatenate(all_hi)
+    lo = np.concatenate(all_lo)
+    hi = np.concatenate(all_hi)
     offsets = np.cumsum([0] + [len(a) for a in all_lo])
-    pts = flat_lo
-    order_lo = np.sort(flat_lo)
-    order_hi = np.sort(flat_hi)
-    cnt = (np.searchsorted(order_lo, pts, side="right")
-           - np.searchsorted(order_hi, pts, side="left"))
-    covered = np.nonzero(cnt >= 2)[0]
+    cnt = (np.searchsorted(np.sort(lo), lo, side="right")
+           - np.searchsorted(np.sort(hi), lo, side="left"))
 
     def locate(g_idx):
         lev = int(np.searchsorted(offsets, g_idx, side="right")) - 1
         return lev, int(g_idx - offsets[lev])
 
-    fallback = None
-    for j_count, j in enumerate(covered):
-        if j_count >= 64 and fallback is not None:
-            break
-        p = pts[j]
-        cands = np.nonzero((flat_lo <= p) & (flat_hi >= p))[0]
-        j_lev, j_idx = locate(j)
-        nf_j = nf(level_word(levels, j_lev, j_idx, S)) if nf else None
-        for i in cands:
-            if i == j:
-                continue
-            i_lev, i_idx = locate(int(i))
-            if nf is None:
-                return j_lev, j_idx, i_lev, i_idx, False
-            nf_i = nf(level_word(levels, i_lev, i_idx, S))
-            if nf_i != nf_j:
-                return j_lev, j_idx, i_lev, i_idx, True
-            if fallback is None:
-                fallback = (j_lev, j_idx, i_lev, i_idx, False)
-    return fallback
+    def groups():
+        for j in np.flatnonzero(cnt >= 2):
+            cands = np.flatnonzero((lo <= lo[j]) & (hi >= lo[j]))
+            yield j, cands[cands != j]
+
+    form = nf and (lambda k: nf(level_word(levels, *locate(k), S)))
+    pair = pick_pair(groups(), form, stop=64)
+    return pair and (*locate(pair[0]), *locate(pair[1]), pair[2])

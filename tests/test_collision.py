@@ -7,7 +7,7 @@ import pytest
 
 import diffeolab as dl
 from diffeolab.action import apply_word
-from diffeolab.words import level_word, sphere_levels
+from diffeolab.words import concat_reduce, invert, level_word, sphere_levels
 from diffeolab.zassenhaus import CollisionParams, build_wreath_pair, \
     derivative_collision_search
 from diffeolab.zassenhaus.collision import _bucket_pair
@@ -64,22 +64,69 @@ def test_sparse_buckets_not_found(pair):
     assert not rep.rows[0].pair_found
 
 
+def bucket_rule(S, words, n, params, nf):
+    """Brute-force pair rule on level n: buckets by exact integer keys of
+    apply_word's value and log chain product, in key order; members in
+    index order, the first one the anchor.  Returns (i1, i2, certified)."""
+    width_v, width_d = params.lam ** float(-n), math.log1p(params.c1)
+    groups = {}
+    for i, w in enumerate(words):
+        t = apply_word(w, params.x0, S)
+        key = (math.floor(t.value / width_v),
+               math.floor(math.log(t.chain_product) / width_d))
+        groups.setdefault(key, []).append(i)
+    fallback = None
+    for key in sorted(groups):
+        first, *others = groups[key]
+        for other in others:
+            if nf is None:
+                return first, other, False
+            if nf(words[first]) != nf(words[other]):
+                return first, other, True
+            fallback = fallback or (first, other, False)
+    return fallback
+
+
+def passes(S, g1, g2, n, params):
+    """The search's acceptance checks: star-1, star-2 and V'(x0)."""
+    t1, t2 = apply_word(g1, params.x0, S), apply_word(g2, params.x0, S)
+    tv = apply_word(concat_reduce(invert(g1), g2), params.x0, S)
+    ratio = t1.chain_product / t2.chain_product
+    return (abs(t1.value - t2.value) <= params.lam ** float(-n)
+            and 1.0 - params.c1 < ratio < 1.0 + params.c1
+            and 1.0 - params.c < tv.chain_product < 1.0 + params.c)
+
+
 def test_buckets_follow_chain_rule(pair):
-    # Reference: bucket the accepted level by apply_word's value and log
-    # chain product; the search must accept the pair those buckets give.
+    # Reference: bucket every level by apply_word's value and log chain
+    # product.  Each rule pair below the search's level fails the acceptance
+    # checks; at that level the search reports the rule pair.
     S = pair.generator_set
-    params = CollisionParams(x0=0.405, c=0.02, lam=1.1, epsilon=eps_of(pair),
-                             c1=0.008, n_max=8)
-    rep = derivative_collision_search(S, params)
-    n = rep.n_found
-    assert rep.status == "found" and n >= 3
-    levels = sphere_levels(S, n)
-    words = [level_word(levels, n, i, S) for i in range(levels[n].size)]
-    traces = [apply_word(w, params.x0, S) for w in words]
-    i1, i2, _ = _bucket_pair(np.array([t.value for t in traces]),
-                             np.log([t.chain_product for t in traces]),
-                             params.lam ** float(-n), math.log1p(params.c1), None)
-    assert (rep.g1, rep.g2) == (words[i1], words[i2])
+    for c, c1, n_found in ((0.02, 0.008, 3), (0.05, 0.02, 6)):
+        params = CollisionParams(x0=0.405, c=c, lam=1.1, epsilon=eps_of(pair),
+                                 c1=c1, n_max=8)
+        levels = sphere_levels(S, n_found)
+        for nf in (None, pair.normal_form):
+            rep = derivative_collision_search(S, params, nf=nf)
+            assert rep.status == "found" and rep.n_found == n_found
+            for n in range(1, n_found + 1):
+                words = [level_word(levels, n, i, S)
+                         for i in range(levels[n].size)]
+                found = bucket_rule(S, words, n, params, nf)
+                accepted = found is not None and passes(
+                    S, words[found[0]], words[found[1]], n, params)
+                assert accepted == (n == n_found)
+            i1, i2, certified = found
+            assert (rep.g1, rep.g2) == (words[i1], words[i2])
+            assert rep.distinctness == ("distinct_by_normal_form" if certified
+                                        else "word_distinct_only")
+
+
+def test_bucket_keys_past_int64_stay_distinct():
+    # floor(x / width) is about 4e20 here, past 2^63: the three values keep
+    # three buckets instead of sharing one overflowed integer key.
+    assert _bucket_pair(np.array([0.41, 0.42, 0.43]), np.zeros(3), 1e-21,
+                        math.log1p(0.01), None) is None
 
 
 def test_ball_precondition():

@@ -1,6 +1,7 @@
 """Flattening pipeline: escape search, case analysis, pigeonhole iteration,
 and the end-to-end run on the reference pair."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from diffeolab.certify import Interval
 from diffeolab.generators import build_pp, mobius
 from diffeolab.zassenhaus import (FlattenParams, choose_case, find_escape_word,
                                   flatten, pigeonhole_bound)
-from diffeolab.zassenhaus.flatten import _closest_same_bucket
+from diffeolab.words import EMPTY, concat_reduce, word_from_text
+from diffeolab.zassenhaus.flatten import _candidate_word, _closest_same_bucket
 
 PP = build_pp()
 F, G = PP.generators
@@ -135,6 +137,38 @@ def test_bucket_scan_finds_a_pair_split_by_the_first_value():
     rows = np.array([[0.10, 0.10], [0.11, 0.90], [0.12, 0.11]])
     assert _closest_same_bucket(rows, 0.5) == (2, (0, 2))
     assert _closest_same_bucket(rows[:2], 0.5) == (2, None)
+
+
+def test_bucket_keys_past_int64_stay_distinct():
+    # floor(x / width) reaches 5e23 here, past 2^63: distinct rows keep
+    # distinct keys instead of sharing one overflowed integer key.
+    rows = np.array([[0.5, 0.5], [0.6, 0.6], [0.7, 0.1]])
+    assert _closest_same_bucket(rows, 1e-24) == (3, None)
+
+
+def test_flatten_fine_buckets_separate_every_candidate():
+    # Base 1e6 makes level n's width 1e-6n, so from level 4 on the keys pass
+    # 2^63; every candidate keeps a bucket of its own up to the level cap.
+    rep = flatten(F, G, CERT, 0.5, FlattenParams(0.5, n_max=12, bucket_base=1e6))
+    assert [row.n for row in rep.rows] == list(range(1, 13))
+    assert all(row.buckets == row.candidates for row in rep.rows)
+    assert rep.status == "cap_exhausted"
+
+
+@pytest.mark.parametrize("alpha, beta", [("f", "g"), ("g f", "f"),
+                                         ("f^-1 g^-1", "g^-1"),
+                                         ("g", "g^-1 f")])
+def test_candidate_word_matches_level_order(alpha, beta):
+    # Level n lists U over (alpha, beta)^n in product order, then beta alpha.
+    alpha, beta = word_from_text(alpha, PP), word_from_text(beta, PP)
+    idx = 0
+    for n in range(1, 13):
+        for syms in itertools.product((alpha, beta), repeat=n):
+            want = EMPTY
+            for s in syms + (beta, alpha):
+                want = concat_reduce(want, s)
+            assert _candidate_word(idx, alpha, beta) == want
+            idx += 1
 
 
 def test_flatten_invalid_certificate_rejected():
