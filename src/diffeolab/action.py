@@ -223,6 +223,19 @@ def map_row_chunks(fn, xs: np.ndarray, outs, threads: int) -> None:
         list(pool.map(work, range(chunks)))
 
 
+def _letter_step(S: GeneratorSet, letter: Letter, derivs: bool):
+    """The ``map_row_chunks`` kernel of one letter: x -> its values and, with
+    ``derivs``, the generator derivative at the lower end of the step, g'(x)
+    for a letter g and g'(pre) for g^-1 with pre = g^-1(x)."""
+    g, sign = S[letter.gen], letter.sign
+
+    def step(x):
+        y = g.value(x) if sign > 0 else g.inverse(x)
+        return (y, g.deriv(x if sign > 0 else y)) if derivs else (y,)
+
+    return step
+
+
 def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
                   threads: int = 1):
     """Propagate start points through sphere levels 1, 2, ... lazily.
@@ -230,19 +243,16 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
     For each level m it yields a list: per start point, the values of the
     level's words there (row order of ``levels[m]``); then, when ``derivs``
     is set, per start point each row's generator derivative at the lower end
-    of its letter step: g'(x) for a letter g, g'(pre) for g^-1 with
-    pre = g^-1(x).  Level m + 1 starts from the yielded value arrays, so a
-    caller that changes them in place (the probe clips) propagates that.
+    of its letter step (see ``_letter_step``).  Level m + 1 starts from the
+    yielded value arrays, so a caller that changes them in place (the probe
+    clips) propagates that.
     """
     vals = [np.array([float(x)]) for x in starts]
     for lev in levels[1:]:
         new_vals = [np.empty(lev.size) for _ in vals]
         new_ders = [np.empty(lev.size) for _ in vals] if derivs else []
         for s, letter in enumerate(S.alphabet):
-            def step(x, g=S[letter.gen], sign=letter.sign):
-                y = g.value(x) if sign > 0 else g.inverse(x)
-                return (y, g.deriv(x if sign > 0 else y)) if derivs else (y,)
-
+            step = _letter_step(S, letter, derivs)
             for rows, src in lev.suffix_slices(s):
                 for i, v in enumerate(vals):
                     outs = [new_vals[i][rows]] + ([new_ders[i][rows]] if derivs else [])
@@ -326,9 +336,16 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
 
     Evaluation walks sphere levels with vectorized letter application; workers
     only split array chunks, so results are independent of ``threads``.  The
-    values and derivative products of levels m - 1 and m are all it keeps;
-    kernels and minima run on blocks of ``_PARALLEL_MIN`` rows.
+    levels below the outermost go through ``sphere_orbits``, and each one's
+    values and derivative products are kept only until the next level is
+    built from them.  The outermost level is never stored: its rows are
+    computed from the suffix slices of the level below in blocks of
+    ``4 * threads * _PARALLEL_MIN`` rows, folded into the running minima and
+    dropped.  The fold is elementwise and sees rows in order, so the minima,
+    first-occurrence argmins and counts do not depend on the block size.
     """
+    if not (displacement or deriv_gap):
+        raise PreconditionError("ball probe needs displacement or deriv_gap")
     if n < 1:
         raise PreconditionError("ball probe needs radius n >= 1")
     if displacement and not 0.0 < x0 < 1.0:
@@ -337,34 +354,64 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
         raise DomainError("x0 outside [0, 1]")
     levels = sphere_levels(S, n, cap=cap)
     complete = len(levels) == n + 1
-    ders = np.array([1.0])
+    top = len(levels) - 1
+    vals, ders = np.array([float(x0)]), np.array([1.0])
     disp_t, gap_t = _MinTracker(), _MinTracker()
     buf = np.empty(_PARALLEL_MIN)
     rows = []
 
-    def track(tracker, arr, target, m):
+    def track(tracker, arr, target, m, offset=0):
         # |arr - target| one block at a time, through the one buffer.
         for a in range(0, arr.size, _PARALLEL_MIN):
             part = arr[a:a + _PARALLEL_MIN]
             gap = np.subtract(part, target, out=buf[:part.size])
-            tracker.update(np.abs(gap, out=gap), m, a)
+            tracker.update(np.abs(gap, out=gap), m, offset + a)
 
-    orbits = sphere_orbits(S, levels, [x0], derivs=deriv_gap, threads=threads)
+    def chain(d, s, prev):
+        # Derivative products of rows led by letter s, in place: 1 / g'(pre)
+        # on inverse letters, times the suffix rows' products ``prev``.
+        if s % 2:
+            np.divide(1.0, d, out=d)
+        return np.multiply(d, prev, out=d)
+
+    def record(m):
+        rows.append((m,
+                     disp_t.value if displacement else None,
+                     gap_t.value if deriv_gap else None))
+
+    orbits = sphere_orbits(S, levels[:top], [x0], derivs=deriv_gap, threads=threads)
     for m, level in enumerate(orbits, start=1):
         vals = np.clip(level[0], 0.0, 1.0, out=level[0])
         if displacement:
             track(disp_t, vals, x0, m)
         if deriv_gap:
-            lev, d = levels[m], level[1]
-            for s in range(1, len(S.alphabet), 2):  # inverse letters
-                np.divide(1.0, d[lev.rows(s)], out=d[lev.rows(s)])
-            for dst, src in lev.suffix_slices():
-                np.multiply(d[dst], ders[src], out=d[dst])
-            ders = d
+            for s in range(len(S.alphabet)):
+                for dst, src in levels[m].suffix_slices(s):
+                    chain(level[1][dst], s, ders[src])
+            ders = level[1]
             track(gap_t, ders, 1.0, m)
-        rows.append((m,
-                     disp_t.value if displacement else None,
-                     gap_t.value if deriv_gap else None))
+        record(m)
+
+    if top:
+        lev = levels[top]
+        # Four kernel blocks per thread: each block starts one thread pool.
+        block = min(4 * threads * _PARALLEL_MIN,
+                    max(dst.stop - dst.start for dst, _ in lev.suffix_slices()))
+        outs = [np.empty(block) for _ in range(1 + deriv_gap)]
+        for s, letter in enumerate(S.alphabet):
+            step = _letter_step(S, letter, deriv_gap)
+            for dst, src in lev.suffix_slices(s):
+                for a in range(0, dst.stop - dst.start, block):
+                    prev = slice(src.start + a, min(src.start + a + block, src.stop))
+                    out = [o[:prev.stop - prev.start] for o in outs]
+                    map_row_chunks(step, vals[prev], out, threads)
+                    if displacement:
+                        np.clip(out[0], 0.0, 1.0, out=out[0])
+                        track(disp_t, out[0], x0, top, dst.start + a)
+                    if deriv_gap:
+                        track(gap_t, chain(out[1], s, ders[prev]), 1.0, top,
+                              dst.start + a)
+        record(top)
 
     def emit(track, on):
         if not on or track.where is None:

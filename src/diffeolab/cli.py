@@ -121,6 +121,9 @@ def _probe_cmd(cfg: ExperimentConfig, out_dir: str):
     S, _ = build_generator_set(cfg)
     p = cfg.params
     kind = p.get("kind", "both")
+    if kind not in ("both", "displacement", "deriv_gap"):
+        raise ConfigError(f"probe kind must be both, displacement or deriv_gap, "
+                          f"not {kind!r}")
     report = probe_ball(S, ival(p, "n", 6), fval(p, "x0"),
                         displacement=kind in ("both", "displacement"),
                         deriv_gap=kind in ("both", "deriv_gap"),

@@ -350,18 +350,35 @@ class GeneratorMap:
 
 
 def _spline_value(d: _SplineData, a):
-    i = np.clip(np.searchsorted(d.xs, a, side="right") - 1, 0, len(d.xs) - 2)
-    s = a - d.xs[i]
-    v = d.ys[i] + s * (d.ms[i] + s * (d.c2[i] + s * d.c3[i]))
-    # Right endpoint must be exact; interior knots already are (s == 0).
-    return np.where(a == d.xs[-1], d.ys[-1], v)
+    """``ys[i] + s*(ms[i] + s*(c2[i] + s*c3[i]))`` with s = a - xs[i]."""
+    return _spline_horner(d, a, (d.c3, d.c2, d.ms, d.ys), d.ys[-1])
 
 
 def _spline_deriv(d: _SplineData, a):
-    i = np.clip(np.searchsorted(d.xs, a, side="right") - 1, 0, len(d.xs) - 2)
-    s = a - d.xs[i]
-    v = d.ms[i] + s * (2 * d.c2[i] + 3 * d.c3[i] * s)
-    return np.where(a == d.xs[-1], d.ms[-1], v)
+    """``ms[i] + s*(2*c2[i] + 3*c3[i]*s)`` with s = a - xs[i]."""
+    return _spline_horner(d, a, (3 * d.c3, 2 * d.c2, d.ms), d.ms[-1])
+
+
+def _spline_horner(d: _SplineData, a, coefs, end):
+    """Horner in s over ``coefs`` (highest degree first) at each point's segment.
+
+    Coefficients are gathered one at a time into one buffer and every step
+    runs in place, rounding as the plain expression does; the right endpoint
+    gives ``end`` exactly (interior knots already are: s == 0).
+    """
+    flat = a.reshape(-1)
+    i = np.searchsorted(d.xs, flat, side="right")
+    i -= 1
+    np.clip(i, 0, len(d.xs) - 2, out=i)
+    s = np.take(d.xs, i)
+    np.subtract(flat, s, out=s)
+    out = np.take(coefs[0], i)
+    part = np.empty_like(out)
+    for c in coefs[1:]:
+        out *= s
+        out += np.take(c, i, out=part, mode="clip")
+    np.copyto(out, end, where=flat == d.xs[-1])
+    return out.reshape(a.shape)
 
 
 def _spline_inverse(d: _SplineData, y):

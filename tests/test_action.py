@@ -1,5 +1,6 @@
 """Word application: orbit traces, chain rule, certified distances, probes."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,8 +12,8 @@ from diffeolab.action import _PARALLEL_MIN, GridSpec, _MinTracker, apply_word, \
     c0_dist_to_id, c1_dist_to_id, map_row_chunks, probe_ball, sphere_orbits, \
     word_deriv_bounds, word_values, word_values_derivs
 from diffeolab.generators import Letter, build_pp, mobius, polybump
-from diffeolab.words import EMPTY, Word, level_word, reduce_letters, sphere_levels, \
-    sphere_size
+from diffeolab.words import EMPTY, Word, enumerate_sphere, level_word, reduce_letters, \
+    sphere_levels, sphere_size
 
 PP = build_pp()
 SMOOTH = dl.GeneratorSet([mobius("f", 1.6), polybump("g", 1.2)])
@@ -168,6 +169,11 @@ def test_probe_empty_ball_rejected():
         probe_ball(PP, 0, 0.5)
 
 
+def test_probe_without_a_measure_rejected():
+    with pytest.raises(dl.PreconditionError, match="displacement or deriv_gap"):
+        probe_ball(PP, 3, 0.5, displacement=False, deriv_gap=False)
+
+
 def test_probe_monotone_in_radius():
     rep = probe_ball(PP, 5, 0.37)
     disp = [r[1] for r in rep.rows]
@@ -242,16 +248,84 @@ def test_min_tracker_blocks_equal_whole_array():
     assert whole.min_positive == math.inf
 
 
-def test_probe_working_set_is_two_levels():
+@pytest.mark.parametrize("threads", [1, 3])
+def test_probe_never_stores_the_outermost_level(threads):
     tracemalloc.start()
     try:
-        probe_ball(PP, 13, 0.41, threads=3)
+        report = probe_ball(PP, 13, 0.41, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Values and derivative products of levels 12 and 13.
-    kept = 2 * 8 * (sphere_size(2, 12) + sphere_size(2, 13))
-    assert peak <= 1.3 * kept
+    # Below the values and derivative products of level 13 alone.
+    assert peak < 2 * 8 * sphere_size(2, 13)
+    assert report.complete and len(report.rows) == 13
+
+
+def brute_probe(S, n, x0):
+    """Minima over every word of length 1..n from ``apply_word``, in level
+    order: (min, first argmin, min_positive, zero count, running minima) for
+    the displacement and for the derivative gap."""
+    disp, gap, running = [], [], []
+    for m in range(1, n + 1):
+        for w in enumerate_sphere(S, m):
+            trace = apply_word(w, x0, S)
+            disp.append((abs(trace.value - x0), w))
+            gap.append((abs(trace.chain_product - 1.0), w))
+        running.append((m, min(v for v, _ in disp), min(v for v, _ in gap)))
+
+    def summary(items):
+        vals = [v for v, _ in items]
+        k = vals.index(min(vals))
+        pos = [v for v in vals if v > dl.action.ZERO_TOL]
+        return (vals[k], items[k][1], min(pos) if pos else None,
+                len(vals) - len(pos))
+
+    return summary(disp), summary(gap), tuple(running)
+
+
+@pytest.mark.parametrize("S, x0", [(PP, 0.41), (PP, 0.5), (WREATH, 0.405)],
+                         ids=["pp", "pp-mid", "wreath"])
+@pytest.mark.parametrize("n, cap", [(6, 4_000_000), (6, 200), (1, 4_000_000)],
+                         ids=["full", "capped", "radius1"])
+def test_probe_matches_brute_force_over_words(S, x0, n, cap, monkeypatch):
+    levels = len(sphere_levels(S, n, cap=cap)) - 1
+    assert levels == (4 if cap == 200 else n)  # the cap cuts levels 5 and 6
+    disp, gap, running = brute_probe(S, levels, x0)
+    # Tiny blocks: the outermost level streams through many blocks on the pool.
+    monkeypatch.setattr(dl.action, "_PARALLEL_MIN", 8)
+    for threads in (1, 3):
+        both = probe_ball(S, n, x0, cap=cap, threads=threads)
+        assert both.complete == (levels == n)
+        assert (both.min_displacement, both.argmin_displacement,
+                both.min_positive_displacement, both.zero_displacement_words) == disp
+        assert (both.min_deriv_gap, both.argmin_deriv_gap,
+                both.min_positive_deriv_gap, both.zero_deriv_gap_words) == gap
+        assert both.rows == running
+    only_disp = probe_ball(S, n, x0, deriv_gap=False, cap=cap, threads=3)
+    only_gap = probe_ball(S, n, x0, displacement=False, cap=cap, threads=3)
+    assert only_disp == dataclasses.replace(
+        both, min_deriv_gap=None, argmin_deriv_gap=None, min_positive_deriv_gap=None,
+        zero_deriv_gap_words=0, rows=tuple((m, d, None) for m, d, _ in running))
+    assert only_gap == dataclasses.replace(
+        both, min_displacement=None, argmin_displacement=None,
+        min_positive_displacement=None, zero_displacement_words=0,
+        rows=tuple((m, None, g) for m, _, g in running))
+
+
+def test_probe_ties_in_the_outermost_level_keep_the_first_row(monkeypatch):
+    # At the fixed point 0 a word's derivative is 2^a 8^b for exponent sums
+    # a of f and b of g: exactly 1 first at length 4, on the 8 words with
+    # a = -3b != 0 and the 8 with a = b = 0.  Two of them, f f f g^-1 and
+    # f f g^-1 f, lie in one suffix slice of level 4 but in different 4-row
+    # blocks, so the first row wins only if blocks are folded in order.
+    S = dl.GeneratorSet([mobius("f", 2.0), mobius("g", 8.0)])
+    gap = brute_probe(S, 4, 0.0)[1]
+    assert gap[:2] == (0.0, Word((Letter("f", 1),) * 3 + (Letter("g", -1),)))
+    monkeypatch.setattr(dl.action, "_PARALLEL_MIN", 1)
+    rep = probe_ball(S, 4, 0.0, displacement=False, threads=1)
+    assert (rep.min_deriv_gap, rep.argmin_deriv_gap, rep.min_positive_deriv_gap,
+            rep.zero_deriv_gap_words) == gap
+    assert gap[3] == 16
 
 
 @pytest.mark.parametrize("S", [PP, WREATH], ids=["pp", "wreath"])

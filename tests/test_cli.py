@@ -116,6 +116,17 @@ def test_threads_below_one_is_config_error(tmp_path, capsys, threads):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind", ["displacment", "none", ""])
+def test_unknown_probe_kind_is_config_error(tmp_path, capsys, kind):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[experiment]\ncommand = probe\n\n[generators]\npreset = pp\n\n"
+                   f"[probe]\nx0 = 0.5\nn = 3\nkind = {kind}\n")
+    rc = main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert "probe kind" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+
+
 def test_empty_probe_report_header_only(tmp_path):
     rep = ProbeReport(x0=0.5, n=0, complete=True)
     paths = emit_probe(rep, str(tmp_path))

@@ -21,10 +21,10 @@ with open(os.path.join(HERE, "data", "config_csv_sha256.json")) as fh:
     PINNED = json.load(fh)
 
 
-def config_digests(name, out_dir):
+def config_digests(name, out_dir, *args):
     """Run one config through the CLI and hash every file it writes."""
     path = os.path.join(CONFIG_DIR, name)
-    main([load_config(path).command, "--config", path, "--out", str(out_dir)])
+    main([load_config(path).command, "--config", path, "--out", str(out_dir), *args])
     digests = {}
     for csv in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, csv), "rb") as fh:
@@ -40,3 +40,10 @@ def test_every_config_is_pinned():
 def test_config_csvs_match_pins(name, tmp_path):
     want = {k: v for k, v in PINNED.items() if k.startswith(name + "/")}
     assert config_digests(name, tmp_path) == want
+
+
+@pytest.mark.parametrize("name", ["probe_pp.ini", "wreath_build.ini"])
+def test_probe_configs_match_pins_at_three_threads(name, tmp_path):
+    # The probe's block bounds depend on the thread count; its bytes must not.
+    want = {k: v for k, v in PINNED.items() if k.startswith(name + "/")}
+    assert config_digests(name, tmp_path, "--threads", "3") == want

@@ -247,6 +247,34 @@ def test_spline_scalar_path_bitwise_equals_array_path(gmap):
         assert type(op(np.array(pts[0]))) is float and op(1) == op(1.0)
 
 
+def plain_spline_value(d, a):
+    i = np.clip(np.searchsorted(d.xs, a, side="right") - 1, 0, len(d.xs) - 2)
+    s = a - d.xs[i]
+    v = d.ys[i] + s * (d.ms[i] + s * (d.c2[i] + s * d.c3[i]))
+    return np.where(a == d.xs[-1], d.ys[-1], v)
+
+
+def plain_spline_deriv(d, a):
+    i = np.clip(np.searchsorted(d.xs, a, side="right") - 1, 0, len(d.xs) - 2)
+    s = a - d.xs[i]
+    v = d.ms[i] + s * (2 * d.c2[i] + 3 * d.c3[i] * s)
+    return np.where(a == d.xs[-1], d.ms[-1], v)
+
+
+@pytest.mark.parametrize("gmap", spline_maps(), ids=lambda g: g.id)
+def test_spline_value_and_deriv_bitwise_equal_plain_expressions(gmap):
+    d = gmap._spline
+    # Random points, every knot and the points 1 ulp either side.
+    pts = np.concatenate([np.random.default_rng(11).random(100_000), d.xs,
+                          np.nextafter(d.xs, 0.0), np.nextafter(d.xs, 1.0)])
+    for fn, plain in ((_spline_value, plain_spline_value),
+                      (_spline_deriv, plain_spline_deriv)):
+        assert np.array_equal(bits(fn(d, pts)), bits(plain(d, pts)))
+        grid = pts[:99_990].reshape(-1, 10).T  # not contiguous
+        assert np.array_equal(bits(fn(d, grid)), bits(plain(d, grid)))
+        assert fn(d, np.array(pts[0])).shape == ()
+
+
 @pytest.mark.parametrize("gmap", all_test_maps(), ids=lambda g: g.id)
 def test_float_path_bitwise_equals_array_path_every_family(gmap):
     pts = np.concatenate([[0.0, 1.0], RNG.random(2000)])
