@@ -197,8 +197,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         return RunResult(STATUS_CONFIG, [], time.monotonic() - start,
                          f"config error: {exc}")
     except CapExhausted as exc:
+        best = "" if exc.best is None else f" best={exc.best!r}"
         return RunResult(STATUS_EXHAUSTED, [], time.monotonic() - start,
-                         f"cap exhausted: {exc}")
+                         f"cap exhausted: {exc}{best}")
     except (PreconditionError, DomainError, ConstructionError,
             NumericError) as exc:
         return RunResult(STATUS_PRECONDITION, [], time.monotonic() - start,

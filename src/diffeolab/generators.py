@@ -27,6 +27,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +45,9 @@ NEWTON_STEPS = 4
 #: (``_SplineData.tree``) instead of being stepped through.
 TREE_DEPTH = 12
 
-#: Points per block of the array spline inverse.  Blocking keeps its
-#: temporaries at a few arrays of this length whatever the input size.
+#: Points per block of the array spline inverse: a call is cut into equal
+#: blocks of this to twice this many points, which keeps its temporaries at
+#: a few arrays of that length whatever the input size.
 INVERSE_BLOCK = 8192
 
 #: Arrays up to this size are inverted point by point on the scalar path,
@@ -107,34 +109,20 @@ class _SplineData:
         """(depth, keys, bounds): the top ``depth`` levels of the inverse's bisection.
 
         Segment i owns 2**depth entries, in order: its knot, then the
-        midpoints of its bisection tree, built with the inverse's own
-        ``0.5 * (lo + hi)`` and cubic.  ``bounds`` holds the abscissae and
-        ends with xs[-1]: leaf k brackets bounds[k], bounds[k + 1] in segment
-        k >> depth.  A knot's key is the float just below ys[i] and a
-        midpoint's key is the cubic's value there, or inf at the right knot,
-        so a key is below y exactly when the segment search (ys[i] <= y) or
-        the bisection step (value < y, never at the right knot) goes right
-        of its entry.  While the keys do not decrease,
-        ``searchsorted(keys, y, side="left") - 1`` therefore walks that
-        binary tree: it finds the leaf of the segment search plus ``depth``
-        bisection steps.  ``depth`` is the deepest level up to ``TREE_DEPTH``
-        whose keys do not decrease.
+        midpoints of its bisection tree (``_bisection_bounds``).  ``bounds``
+        holds the abscissae and ends with xs[-1]: leaf k brackets bounds[k],
+        bounds[k + 1] in segment k >> depth, and keys[k] is the key of
+        bounds[k].  A knot's key is the float just below ys[i], so it is
+        below y exactly when the segment search (ys[i] <= y) goes right of
+        it.  While the keys do not decrease, ``searchsorted(keys, y,
+        side="left") - 1`` therefore walks that binary tree: it finds the
+        leaf of the segment search plus ``depth`` bisection steps.  ``depth``
+        is the deepest level up to ``TREE_DEPTH`` whose keys do not decrease.
         """
-        n, width = len(self.xs) - 1, 1 << TREE_DEPTH
-        bounds = np.empty(n * width + 1)
-        bounds[::width] = self.xs
-        for level in range(TREE_DEPTH):
-            step = width >> level
-            mid = bounds[step // 2::step]
-            np.add(bounds[:-1:step], bounds[step::step], out=mid)
-            mid *= 0.5
-        lo = bounds[:-1].reshape(n, width)
-        s = lo - self.xs[:-1, None]
-        keys = _cubic(s, self.ys[:-1, None], self.ms[:-1, None],
-                      self.c2[:, None], self.c3[:, None], out=np.empty_like(s))
-        keys[lo == self.xs[1:, None]] = np.inf
-        keys[:, 0] = np.nextafter(self.ys[:-1], -np.inf)
-        keys = keys.reshape(-1)
+        bounds = _bisection_bounds(self.xs[:-1], self.xs[1:], TREE_DEPTH)
+        keys = _bisection_keys(self, np.arange(len(self.xs) - 1), bounds,
+                               np.nextafter(self.ys[:-1], -np.inf)).reshape(-1)
+        bounds = np.append(bounds[:, :-1], self.xs[-1])
         depth = TREE_DEPTH
         while True:
             step = 1 << (TREE_DEPTH - depth)
@@ -148,6 +136,36 @@ class _SplineData:
         """``tree`` with its arrays as memoryviews, which index to Python floats."""
         depth, keys, bounds = self.tree
         return depth, memoryview(keys), memoryview(bounds)
+
+
+def _bisection_bounds(lo, hi, levels: int):
+    """Row r: the 2**levels + 1 abscissae, in order, of ``levels`` levels of
+    bisection of [lo[r], hi[r]], with the inverse's own ``0.5 * (lo + hi)``."""
+    width = 1 << levels
+    bounds = np.empty((len(lo), width + 1))
+    bounds[:, 0], bounds[:, -1] = lo, hi
+    for level in range(levels):
+        step = width >> level
+        mid = bounds[:, step // 2::step]
+        np.add(bounds[:, :-1:step], bounds[:, step::step], out=mid)
+        mid *= 0.5
+    return bounds
+
+
+def _bisection_keys(d: _SplineData, i, bounds, lo_key):
+    """The keys of ``bounds[r, :-1]`` in segment i[r].
+
+    The bracket's own key is ``lo_key[r]``.  A midpoint's key is the cubic's
+    value there, or inf at the right knot, so it is below y exactly when the
+    bisection step (value < y, never at the right knot) goes right of it.
+    """
+    left = bounds[:, :-1]
+    s = left - d.xs[i, None]
+    keys = _cubic(s, d.ys[i, None], d.ms[i, None], d.c2[i, None], d.c3[i, None],
+                  out=np.empty_like(s))
+    keys[left == d.xs[i + 1, None]] = np.inf
+    keys[:, 0] = lo_key
+    return keys
 
 
 def _fritsch_carlson_slopes(xs, ys, end_slopes, pins=None):
@@ -382,18 +400,26 @@ def _spline_horner(d: _SplineData, a, coefs, end):
 
 
 def _spline_inverse(d: _SplineData, y):
-    """Inverse of the spline, point by point on small inputs, else by blocks."""
+    """Inverse of the spline, point by point on small inputs, else by blocks.
+
+    A call is cut into ``max(1, size // INVERSE_BLOCK)`` blocks of equal
+    size, so no block reaches ``2 * INVERSE_BLOCK`` points and the
+    10,001-point scans run as one block.
+    """
     flat = y.reshape(-1)
+    blocks = max(1, flat.size // INVERSE_BLOCK)
     if flat.size <= SCALAR_INVERSE_MAX:
         leaves = np.searchsorted(d.tree[1], flat, side="left") - 1
         out = np.array([_spline_inverse_scalar(d, t, k)
                         for t, k in zip(flat.tolist(), leaves.tolist())],
                        dtype=float)
+    elif blocks == 1:
+        out = _spline_inverse_block(d, flat)
     else:
         out = np.empty(flat.shape)
-        for k in range(0, flat.size, INVERSE_BLOCK):
-            out[k:k + INVERSE_BLOCK] = _spline_inverse_block(
-                d, flat[k:k + INVERSE_BLOCK])
+        cuts = np.linspace(0, flat.size, blocks + 1).astype(int).tolist()
+        for a, b in pairwise(cuts):
+            out[a:b] = _spline_inverse_block(d, flat[a:b])
     return out.reshape(y.shape)
 
 
@@ -401,35 +427,43 @@ def _spline_inverse_block(d: _SplineData, y):
     """Bisection and Newton on the one segment whose value range holds y.
 
     The tree lookup gives the bracket of the segment search plus ``depth``
-    bisection steps; the remaining steps evaluate that segment's cubic with
-    the expressions of ``_spline_value`` / ``_spline_deriv``, so the iterates
-    are bitwise those of ``_invert_monotone`` run on the whole spline.  At
-    the segment's right knot x1 those functions switch to the next segment,
-    where s == 0 gives exactly that knot's value y1 and slope m1.  Newton
-    uses them there; in bisection a midpoint at x1 never counts as below,
-    since y < y1 on every segment but the last, and y <= y1 on that one.
-    The residual check evaluates the same way at the final x, which lies in
-    [x0, x1], so it is bitwise ``_spline_value(d, x)``.
+    bisection steps.  Sorted input then looks up the remaining steps too
+    (``_subtree_brackets``); otherwise they evaluate that segment's cubic
+    with the expressions of ``_spline_value`` / ``_spline_deriv``, so the
+    iterates are bitwise those of ``_invert_monotone`` run on the whole
+    spline.  At the segment's right knot x1 those functions switch to the
+    next segment, where s == 0 gives exactly that knot's value y1 and slope
+    m1.  Newton uses them there; in bisection a midpoint at x1 never counts
+    as below, since y < y1 on every segment but the last, and y <= y1 on
+    that one.  The residual check evaluates the same way at the final x,
+    which lies in [x0, x1], so it is bitwise ``_spline_value(d, x)``.
     """
+    # Arrays are made in the order their predecessors die, so that a
+    # block reuses its own freed memory instead of touching fresh pages.
     depth, keys, bounds = d.tree
-    leaf = np.searchsorted(keys, y, side="left") - 1
-    i = leaf >> depth
-    x0, x1, y0, y1 = d.xs[i], d.xs[i + 1], d.ys[i], d.ys[i + 1]
-    m0, m1, c2, c3 = d.ms[i], d.ms[i + 1], d.c2[i], d.c3[i]
-    lo, hi = bounds[leaf], bounds[leaf + 1]
+    leaf = np.searchsorted(keys, y, side="left")
+    leaf -= 1
+    brackets = _subtree_brackets(d, y, leaf)
+    lo, hi = brackets or (bounds[leaf], bounds[leaf + 1])
+    i = np.right_shift(leaf, depth, out=leaf)  # each point's segment
+    x0, y0, m0, c2, c3 = d.xs[i], d.ys[i], d.ms[i], d.c2[i], d.c3[i]
+    i += 1  # the right knot's, whose value and slope only x == x1 reads
+    x1 = d.xs[i]
     mid, s, v, dv = (np.empty_like(y) for _ in range(4))
-    below, off_knot = np.empty(y.shape, bool), np.empty(y.shape, bool)
-    for _ in range(BISECT_STEPS - depth):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.subtract(mid, x0, out=s)
-        np.less(_cubic(s, y0, m0, c2, c3, out=v), y, out=below)
-        below &= np.not_equal(mid, x1, out=off_knot)
-        # Branch-free select, exact because 0 <= lo <= mid <= hi <= 1 on
-        # every spline: below moves lo up to mid (else max(lo, 0) = lo) and
-        # leaves hi (min(hi, mid + 1) = hi), otherwise hi comes down to mid.
-        np.maximum(lo, np.multiply(mid, below, out=s), out=lo)
-        np.minimum(hi, np.add(mid, below, out=s), out=hi)
+    if brackets is None:
+        below, off_knot = np.empty(y.shape, bool), np.empty(y.shape, bool)
+        for _ in range(BISECT_STEPS - depth):
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            np.subtract(mid, x0, out=s)
+            np.less(_cubic(s, y0, m0, c2, c3, out=v), y, out=below)
+            below &= np.not_equal(mid, x1, out=off_knot)
+            # Branch-free select, exact because 0 <= lo <= mid <= hi <= 1 on
+            # every spline: below moves lo up to mid (else max(lo, 0) = lo)
+            # and leaves hi (min(hi, mid + 1) = hi), otherwise hi comes down
+            # to mid.
+            np.maximum(lo, np.multiply(mid, below, out=s), out=lo)
+            np.minimum(hi, np.add(mid, below, out=s), out=hi)
     x = np.add(lo, hi, out=mid)
     x *= 0.5
     c2x2, c3x3 = 2 * c2, 3 * c3
@@ -440,13 +474,13 @@ def _spline_inverse_block(d: _SplineData, y):
         dv += c2x2
         dv *= s
         dv += m0
-        _patch_at_knot(x, x1, (v, y1), (dv, m1))
+        _patch_at_knot(x, x1, i, (v, d.ys), (dv, d.ms))
         v -= y
         v /= dv
         x -= v
         np.clip(x, lo, hi, out=x)
     np.subtract(x, x0, out=s)
-    _patch_at_knot(x, x1, (_cubic(s, y0, m0, c2, c3, out=v), y1))
+    _patch_at_knot(x, x1, i, (_cubic(s, y0, m0, c2, c3, out=v), d.ys))
     v -= y
     _check_residual(np.abs(v, out=v))
     # Exact pinned-knot hits must come back exactly.
@@ -455,12 +489,55 @@ def _spline_inverse_block(d: _SplineData, y):
     return x
 
 
-def _patch_at_knot(x, x1, *pairs):
-    """Where x == x1, set each ``out`` of ``pairs`` to its knot value."""
+def _subtree_brackets(d: _SplineData, y, leaf):
+    """(lo, hi) after all ``BISECT_STEPS`` for sorted y, or None.
+
+    Used when ``leaf`` does not decrease and its distinct leaves need no
+    more subtree keys than the live steps would evaluate cubics (and at most
+    ``levels * INVERSE_BLOCK``).  Each touched leaf gets the remaining
+    levels of its bisection tree, keyed by ``_bisection_keys`` and led by
+    the leaf's own key.  Every y lies above its leaf's key and at or below
+    the next leaf's, so while the concatenated keys do not decrease, one
+    ``searchsorted`` walks each point down its own subtree, exactly as the
+    live steps would.  Keys are made and searched for ``INVERSE_BLOCK`` of
+    them at a time, whose points are one slice of the block.  None sends
+    the block to the live steps.
+    """
+    depth, keys, bounds = d.tree
+    levels = BISECT_STEPS - depth
+    if np.any(leaf[1:] < leaf[:-1]):
+        return None
+    ends = np.flatnonzero(leaf[:-1] != leaf[1:])  # of every leaf's run but the last
+    if (ends.size + 1) << levels > levels * min(y.size, INVERSE_BLOCK):
+        return None
+    touched = np.append(leaf[ends], leaf[-1])
+    firsts = [0, *(ends + 1).tolist(), y.size]  # each touched leaf's first point
+    sub_bounds = _bisection_bounds(bounds[touched], bounds[touched + 1], levels)
+    lo, hi = np.empty_like(y), np.empty_like(y)
+    rows = max(1, INVERSE_BLOCK >> levels)
+    for r in range(0, touched.size, rows):
+        part, a, b = slice(r, r + rows), firsts[r], firsts[min(r + rows, touched.size)]
+        sub_keys = _bisection_keys(d, touched[part] >> depth, sub_bounds[part],
+                                   keys[touched[part]]).reshape(-1)
+        if np.any(sub_keys[1:] < sub_keys[:-1]):
+            return None
+        j = np.searchsorted(sub_keys, y[a:b], side="left")
+        j -= 1
+        j += j >> levels  # a row of sub_bounds is one entry longer
+        part_bounds = sub_bounds[part].reshape(-1)
+        np.take(part_bounds, j, out=lo[a:b], mode="clip")
+        j += 1
+        np.take(part_bounds, j, out=hi[a:b], mode="clip")
+    return lo, hi
+
+
+def _patch_at_knot(x, x1, right, *pairs):
+    """Where x == x1, set each ``out`` of ``pairs`` to its ``knots[right]``."""
     at_knot = x == x1
     if at_knot.any():
-        for out, knot in pairs:
-            out[at_knot] = knot[at_knot]
+        k = right[at_knot]
+        for out, knots in pairs:
+            out[at_knot] = knots[k]
 
 
 def _cubic(s, y0, m0, c2, c3, out):

@@ -5,11 +5,13 @@ import os
 
 import pytest
 
+import diffeolab as dl
 from diffeolab.action import ProbeReport
 from diffeolab.cli import main
 from diffeolab.config import load_config, parse_generator_spec
 from diffeolab.errors import ConfigError
 from diffeolab.reports import emit_probe
+from diffeolab.zassenhaus import FlattenParams, flatten
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -158,3 +160,32 @@ def test_growth_and_certify(tmp_path):
     assert lines[3].startswith("2,12,17,")
     assert main(["certify", "--config", cfg_path("certify_pp.ini"),
                  "--out", str(tmp_path / "c")]) == 0
+
+
+def test_probe_at_radius_12_is_thread_count_invariant(tmp_path):
+    # The outermost level has 708,588 rows, past the pool threshold, so the
+    # three-thread run streams it in blocks on the pool.
+    cfg = tmp_path / "probe12.ini"
+    cfg.write_text("[experiment]\ncommand = probe\n\n[generators]\npreset = pp\n\n"
+                   "[probe]\nx0 = 0.41\nn = 12\nkind = both\n")
+    runs = {}
+    for k in ("1", "3"):
+        out = tmp_path / f"t{k}"
+        assert main(["probe", "--config", str(cfg), "--out", str(out), "--threads", k]) == 0
+        runs[k] = (out / "probe.csv").read_bytes()
+    assert runs["1"] == runs["3"]
+
+
+def test_escape_cap_exit_reports_the_best_point(tmp_path, capsys):
+    cfg = tmp_path / "cap.ini"
+    cfg.write_text("[experiment]\ncommand = flatten\n\n[generators]\npreset = pp\n\n"
+                   "[flatten]\nepsilon = 0.1\nescape_cap = 3\n")
+    assert main(["flatten", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    out = capsys.readouterr().out
+    assert not (tmp_path / "o").exists() and out.rstrip().endswith("-> no files")
+    f, g = dl.build_pp().generators
+    cert = dl.check_pingpong(f, g, dl.Interval(*dl.PP_I), dl.Interval(*dl.PP_J))
+    with pytest.raises(dl.CapExhausted) as exc:
+        flatten(f, g, cert, 0.1, FlattenParams(0.1, escape_cap=3))
+    assert 0.0 < exc.value.best < 1.0
+    assert f"cap exhausted: escape search cap exhausted best={exc.value.best!r} " in out

@@ -10,8 +10,8 @@ import pytest
 import diffeolab as dl
 from diffeolab.config import build_generator_set, load_config
 import diffeolab.generators as generators
-from diffeolab.generators import (INVERSE_BLOCK, NEWTON_STEPS, SCALAR_INVERSE_MAX,
-                                  TREE_DEPTH, _invert_monotone,
+from diffeolab.generators import (BISECT_STEPS, INVERSE_BLOCK, NEWTON_STEPS,
+                                  SCALAR_INVERSE_MAX, TREE_DEPTH, _invert_monotone,
                                   _invert_monotone_scalar, _spline_deriv,
                                   _spline_inverse, _spline_inverse_scalar,
                                   _spline_value, build_pp, blend, mobius,
@@ -330,16 +330,8 @@ def test_spline_inverse_checks_the_residual_of_the_returned_point(monkeypatch):
         f.inverse(ys)
 
 
-@pytest.mark.parametrize("newton_steps", [1, NEWTON_STEPS])
-def test_bisection_never_moves_past_the_right_knot(monkeypatch, newton_steps):
-    # A 1e-12-wide segment whose cubic ends 5e-13 below its right knot's
-    # value: for y in between, the bracket closes on the float below x1 and
-    # x1, and x1 (even last bit) is the rounded midpoint of the two.  The
-    # whole-spline solve reads y1 there, so that midpoint must not count as
-    # below, whatever the segment's own cubic gives.  Four Newton steps swing
-    # between the two floats and end on x1 either way; one step shows a
-    # bracket that wrongly closed on x1, and a Newton step that skipped the
-    # knot's value.
+def right_knot_spline():
+    """A 1e-12-wide segment whose cubic ends 5e-13 below its right knot's value."""
     x1 = float.fromhex("0x1.0000000002330p-1")
     g = spline("t", [(0.0, 0.0), (0.45, 0.2), (0.5, 0.5), (x1, 0.5 + 1e-11),
                      (0.55, 0.8), (1.0, 1.0)], end_slopes=(0.44, 0.44),
@@ -347,7 +339,19 @@ def test_bisection_never_moves_past_the_right_knot(monkeypatch, newton_steps):
     d = g._spline
     c3 = d.c3.copy()
     c3[2] -= 5e-13 / (x1 - 0.5) ** 3
-    d = dataclasses.replace(d, c3=c3)
+    return dataclasses.replace(d, c3=c3)
+
+
+@pytest.mark.parametrize("newton_steps", [1, NEWTON_STEPS])
+def test_bisection_never_moves_past_the_right_knot(monkeypatch, newton_steps):
+    # For y between the cubic's end and the right knot's value y1, the
+    # bracket closes on the float below x1 and x1, and x1 (even last bit) is
+    # the rounded midpoint of the two.  The whole-spline solve reads y1
+    # there, so that midpoint must not count as below, whatever the
+    # segment's own cubic gives.  Four Newton steps swing between the two
+    # floats and end on x1 either way; one step shows a bracket that wrongly
+    # closed on x1, and a Newton step that skipped the knot's value.
+    d = right_knot_spline()
     ys = d.ys[3] - np.linspace(1e-14, 4e-13, 40)
     monkeypatch.setattr(generators, "NEWTON_STEPS", newton_steps)
     ref = bits(whole_spline_inverse(d, ys, newton_steps=newton_steps))
@@ -390,3 +394,151 @@ def test_inverse_residual_check_fails_closed_on_nan():
                          np.array([0.5]), 0.0, 1.0)
     with pytest.raises(NumericError):
         _invert_monotone_scalar(lambda t: t * math.nan, lambda t: 1.0, 0.5)
+
+
+# -- the sorted route: per-leaf subtrees replace the live bisection steps -------
+
+@pytest.fixture
+def route_log(monkeypatch):
+    """Whether each array block took the sorted route, in call order."""
+    log = []
+    route = generators._subtree_brackets
+
+    def spy(d, y, leaf):
+        brackets = route(d, y, leaf)
+        log.append(brackets is not None)
+        return brackets
+
+    monkeypatch.setattr(generators, "_subtree_brackets", spy)
+    return log
+
+
+def route_splines():
+    narrow = spline("t", [(0.0, 0.0), (0.5, 0.5), (0.5 + 1e-14, 0.5 + 1e-14), (1.0, 1.0)])
+    return ([(g.id, g._spline) for g in spline_maps()]
+            + [("narrow", narrow._spline), ("right_knot", right_knot_spline())])
+
+
+def sorted_blocks(d):
+    """Sorted clustered blocks of 8,192 points, each in at most three leaves.
+
+    One block per knot value (the value, 1 ulp either side, so 0 and 1 too)
+    and one cluster 1e-9 wide; on the right-knot spline also the points
+    just below its short segment's right knot.
+    """
+    steps = np.repeat([-1, 0, 1], [2730, 2731, 2731])
+    blocks = [np.clip(y + steps * math.ulp(y), 0.0, 1.0) for y in d.ys.tolist()]
+    blocks.append(np.sort(0.37 + 1e-9 * np.random.default_rng(13).random(INVERSE_BLOCK)))
+    if len(d.ys) == 6:
+        blocks.append(np.sort(np.repeat(d.ys[3] - np.linspace(1e-14, 4e-13, 32), 256)))
+    return blocks
+
+
+@pytest.mark.parametrize("name, d", route_splines(), ids=lambda v: v if isinstance(v, str) else "")
+def test_sorted_route_is_bitwise_the_whole_spline_solve(name, d, route_log):
+    if name == "narrow":
+        assert d.tree[0] < TREE_DEPTH  # a shallower tree: longer subtrees
+    blocks = sorted_blocks(d)
+    for y in blocks:
+        assert np.array_equal(bits(_spline_inverse(d, y)), bits(whole_spline_inverse(d, y)))
+    taken = [True] * len(blocks)
+    if name == "right_knot":
+        # Below x1 the short segment's last subtree rounds its midpoints to
+        # x1, whose key is inf, so the block that also reaches the next leaf
+        # is not sorted and takes the live steps.
+        taken[3] = False
+    assert route_log == taken
+
+
+def test_route_falls_back_when_a_subtree_is_not_sorted(monkeypatch, route_log):
+    d = build_pp()["f"]._spline
+    d.tree  # built before the patch
+    build = generators._bisection_keys
+
+    def unsorted(*args):
+        keys = build(*args)
+        keys[0, 1:] = keys[0, :0:-1]
+        return keys
+
+    monkeypatch.setattr(generators, "_bisection_keys", unsorted)
+    y = sorted_blocks(d)[-1]
+    assert np.array_equal(bits(_spline_inverse(d, y)), bits(whole_spline_inverse(d, y)))
+    assert route_log == [False]
+
+
+def test_unsorted_blocks_take_the_live_steps(monkeypatch, route_log):
+    # The route needs leaves that do not decrease, not sorted points: the
+    # reversed 1e-9 cluster lies in one leaf and still takes it, the
+    # reversed knot block spans two leaves and does not.  Unsorted blocks
+    # build no subtree.
+    d = build_pp()["f"]._spline
+    d.tree  # built before the patch
+    builds = []
+    build = generators._bisection_bounds
+    monkeypatch.setattr(generators, "_bisection_bounds",
+                        lambda lo, *args: builds.append(len(lo)) or build(lo, *args))
+    blocks = sorted_blocks(d)
+    for y in (blocks[-1][::-1], blocks[1][::-1], np.random.default_rng(17).random(9000)):
+        assert np.array_equal(bits(_spline_inverse(d, y)), bits(whole_spline_inverse(d, y)))
+    assert route_log == [True, False, False] and builds == [1]
+
+
+@pytest.mark.parametrize("leaves, taken", [(80, True), (90, False)])
+def test_subtrees_stay_within_steps_times_the_block_size(leaves, taken, route_log):
+    # 10,001 sorted points in one block: 90 leaves need fewer subtree keys
+    # (92,160) than the 10 live steps evaluate cubics (100,010), but more
+    # than 10 * INVERSE_BLOCK, so only 80 leaves (81,920 keys) take the route.
+    d = build_pp()["f"]._spline
+    depth, keys, _ = d.tree
+    assert BISECT_STEPS - depth == 10
+    k = np.linspace(100, keys.size - 100, leaves).astype(int)
+    counts = np.diff(np.linspace(0, 10_001, leaves + 1).astype(int))
+    y = np.repeat(0.5 * (keys[k] + keys[k + 1]), counts)
+    assert np.unique(np.searchsorted(keys, y) - 1).size == leaves
+    assert np.array_equal(bits(_spline_inverse(d, y)), bits(whole_spline_inverse(d, y)))
+    assert route_log == [taken]
+
+
+def test_sorted_route_fails_closed_on_nan(route_log):
+    d = build_pp()["f"]._spline
+    y = sorted_blocks(d)[-1]
+    for k in (y.size - 1, y.size // 2):  # still sorted leaves, then not
+        bad = y.copy()
+        bad[k] = math.nan
+        with pytest.raises(NumericError):
+            _spline_inverse(d, bad)
+    assert route_log == [True, False]
+
+
+@pytest.mark.parametrize("n", [33, 2 * INVERSE_BLOCK - 1, 2 * INVERSE_BLOCK, 5 * INVERSE_BLOCK + 7])
+def test_inverse_blocks_stay_below_twice_the_block_size(monkeypatch, n):
+    sizes = []
+    block = generators._spline_inverse_block
+
+    def spy(d, y):
+        sizes.append(y.size)
+        return block(d, y)
+
+    monkeypatch.setattr(generators, "_spline_inverse_block", spy)
+    d = build_pp()["g"]._spline
+    ys = np.random.default_rng(n).random(n)
+    assert np.array_equal(bits(_spline_inverse(d, ys)), bits(whole_spline_inverse(d, ys)))
+    assert sum(sizes) == n and max(sizes) < 2 * INVERSE_BLOCK
+    assert len(sizes) == max(1, n // INVERSE_BLOCK) and max(sizes) - min(sizes) <= 1
+
+
+def test_flatten_scan_blocks_take_the_sorted_route(monkeypatch, tmp_path, route_log):
+    # The nontrivial_point scan applies the witness v of flatten_pp_eps01.ini
+    # to 10,001 sorted points, one block per letter: 199 of its 216 inverse
+    # blocks take the route (92 %).
+    from diffeolab import cli
+    from diffeolab.action import word_values
+    reports = []
+    monkeypatch.setattr(cli.reports, "emit_flatten", lambda rep, out: reports.append(rep) or [])
+    config = Path(__file__).parent.parent / "configs" / "flatten_pp_eps01.ini"
+    assert cli.main(["flatten", "--config", str(config), "--out", str(tmp_path)]) == 0
+    v = reports[0].v
+    route_log.clear()
+    word_values(v, np.linspace(0.0, 1.0, 10_001), build_pp())
+    assert len(route_log) == sum(1 for letter in v.letters if letter.sign < 0)
+    assert sum(route_log) >= 0.9 * len(route_log)
