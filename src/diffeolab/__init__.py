@@ -15,11 +15,10 @@ from .certify import (EndpointSlopeCheck, Interval, PingPongCertificate,
 from .errors import (CapExhausted, ConfigError, ConstructionError, DomainError,
                      LabError, NumericError, PreconditionError)
 from .generators import (GeneratorMap, GeneratorSet, Letter, blend, build_pp,
-                         global_bounds, letter_bounds, mobius, polybump,
-                         spline, PP_I, PP_J)
+                         letter_bounds, mobius, polybump, spline, PP_I, PP_J)
 from .words import (BallStats, Word, concat_reduce, enumerate_positive,
                     enumerate_sphere, growth_stats, invert, positive_count,
-                    reduce_letters, sphere_size, suffixes, word_from_text)
+                    reduce_letters, sphere_size, word_from_text)
 from .zassenhaus import (CollisionParams, CollisionReport, FlattenParams,
                          FlattenReport, TransportParams, TransportReport,
                          WreathNormalForm, WreathPair, build_wreath_pair,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .generators import GeneratorSet, Letter, letter_bounds, letter_value_deriv
+from .generators import (GeneratorSet, Letter, letter_bounds, letter_deriv,
+                         letter_value)
 from .words import Word, level_word, sphere_levels
 
 #: Orbit points may leave [0, 1] by at most this much before it is an error.
@@ -53,7 +54,6 @@ class OrbitTrace:
     points: tuple[float, ...]          # y_0 .. y_n
     letter_derivs: tuple[float, ...]   # h'_{k+1}(y_k)
     chain_product: float               # = W'(x0)
-    clamped: bool = False
 
     @property
     def value(self) -> float:
@@ -73,52 +73,58 @@ def _pairwise_product(vals):
     return vals[0]
 
 
+def orbit(w: Word, xs, S: GeneratorSet):
+    """Apply ``w`` to a float or an array letter by letter, suffix first.
+
+    Yields ``(g, sign, x, y)`` per letter: the letter's generator and sign,
+    the points it acts on and its values ``y`` there, clipped to [0, 1].  A
+    float that leaves [0, 1] by more than ``CLAMP_TOL`` raises; an array is
+    clipped in place without a check.  ``y`` is the next letter's ``x``.
+    """
+    scalar = np.ndim(xs) == 0
+    x = xs
+    for letter in reversed(w.letters):
+        g, sign = S[letter.gen], letter.sign
+        y = letter_value(g, sign, x)
+        if not scalar:
+            np.clip(y, 0.0, 1.0, out=y)
+        elif y < -CLAMP_TOL or y > 1.0 + CLAMP_TOL:
+            raise DomainError(f"orbit left [0,1] by more than {CLAMP_TOL}")
+        else:
+            y = min(max(y, 0.0), 1.0)
+        yield g, sign, x, y
+        x = y
+
+
 def apply_word(w: Word, x: float, S: GeneratorSet) -> OrbitTrace:
     """Apply ``w`` to ``x`` letter by letter, recording the full trace."""
     if not 0.0 <= x <= 1.0:
         raise DomainError("point outside [0, 1]")
-    y = float(x)
-    pts = [y]
+    x0 = float(x)
+    pts = [x0]
     derivs = []
-    clamped = False
-    for letter in reversed(w.letters):
-        y, d = letter_value_deriv(S[letter.gen], letter.sign, y)
-        if y < 0.0 or y > 1.0:
-            if y < -CLAMP_TOL or y > 1.0 + CLAMP_TOL:
-                raise DomainError(f"orbit left [0,1] by more than {CLAMP_TOL}")
-            y = min(max(y, 0.0), 1.0)
-            clamped = True
+    for g, sign, x, y in orbit(w, x0, S):
         pts.append(y)
-        derivs.append(d)
-    return OrbitTrace(x0=float(x), points=tuple(pts),
+        derivs.append(letter_deriv(g, sign, x, y))
+    return OrbitTrace(x0=x0, points=tuple(pts),
                       letter_derivs=tuple(derivs),
-                      chain_product=_pairwise_product(derivs) if derivs else 1.0,
-                      clamped=clamped)
+                      chain_product=_pairwise_product(derivs) if derivs else 1.0)
 
 
 def word_values(w: Word, xs: np.ndarray, S: GeneratorSet) -> np.ndarray:
     """Vectorized w(xs); points are clipped to [0,1] after each letter."""
-    ys = np.asarray(xs, dtype=float).copy()
-    for letter in reversed(w.letters):
-        g = S[letter.gen]
-        ys = g.value(ys) if letter.sign > 0 else g.inverse(ys)
-        np.clip(ys, 0.0, 1.0, out=ys)
+    ys = np.array(xs, dtype=float)
+    for *_, ys in orbit(w, ys, S):
+        pass
     return ys
 
 
 def word_values_derivs(w: Word, xs: np.ndarray, S: GeneratorSet):
     """Vectorized (w(xs), w'(xs)); derivative by sequential chain product."""
-    ys = np.asarray(xs, dtype=float).copy()
+    ys = np.array(xs, dtype=float)
     ds = np.ones_like(ys)
-    for letter in reversed(w.letters):
-        g = S[letter.gen]
-        if letter.sign > 0:
-            ds *= g.deriv(ys)
-            ys = g.value(ys)
-        else:
-            ys = g.inverse(ys)
-            ds /= g.deriv(ys)
-        np.clip(ys, 0.0, 1.0, out=ys)
+    for g, sign, x, ys in orbit(w, ys, S):
+        ds *= letter_deriv(g, sign, x, ys)
     return ys, ds
 
 
@@ -230,7 +236,7 @@ def _letter_step(S: GeneratorSet, letter: Letter, derivs: bool):
     g, sign = S[letter.gen], letter.sign
 
     def step(x):
-        y = g.value(x) if sign > 0 else g.inverse(x)
+        y = letter_value(g, sign, x)
         return (y, g.deriv(x if sign > 0 else y)) if derivs else (y,)
 
     return step

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .generators import GeneratorMap, GeneratorSet, Letter
+from .generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv,
+                         letter_value)
 
 #: Rounding slop absorbed by certificate margins.
 RHO = 1e-9
@@ -141,7 +142,7 @@ def check_endpoint_slopes(S: GeneratorSet, side: int, delta: float,
     for g in S.generators:
         for sign in (1, -1):
             r_lo, r_hi = _letter_deriv_range(g, sign, lo, hi)
-            sampled = g.deriv(xs) if sign > 0 else 1.0 / g.deriv(g.inverse(xs))
+            sampled = letter_deriv(g, sign, xs, letter_value(g, sign, xs))
             r_lo = min(r_lo, float(np.min(sampled)))
             r_hi = max(r_hi, float(np.max(sampled)))
             ok = r_lo > 1.0 / theta and r_hi < theta

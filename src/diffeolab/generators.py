@@ -728,11 +728,6 @@ def _spline_deriv_range(d: _SplineData, lo: float, hi: float):
     return out_lo, out_hi
 
 
-def global_bounds(g: GeneratorMap) -> tuple[float, float, float]:
-    """(der_inf, der_sup, der_lip) as certified by construction."""
-    return g.der_inf, g.der_sup, g.der_lip
-
-
 def letter_bounds(g: GeneratorMap, sign: int) -> tuple[float, float, float]:
     """(inf, sup, lip) for the generator or its inverse as a letter."""
     if sign > 0:
@@ -742,15 +737,14 @@ def letter_bounds(g: GeneratorMap, sign: int) -> tuple[float, float, float]:
 
 
 def letter_value(g: GeneratorMap, sign: int, x):
+    """The letter g (sign +1) or g^-1 (sign -1) at x."""
     return g.value(x) if sign > 0 else g.inverse(x)
 
 
-def letter_value_deriv(g: GeneratorMap, sign: int, x):
-    """Value and derivative of the letter at x (one inverse solve for sign -1)."""
-    if sign > 0:
-        return g.value(x), g.deriv(x)
-    pre = g.inverse(x)
-    return pre, 1.0 / g.deriv(pre)
+def letter_deriv(g: GeneratorMap, sign: int, x, y):
+    """The letter's derivative at x, given its value y there: g'(x) for g,
+    and 1 / g'(y) for g^-1, whose value y is the preimage already solved."""
+    return g.deriv(x) if sign > 0 else 1.0 / g.deriv(y)
 
 
 class GeneratorSet:
@@ -788,9 +782,6 @@ class GeneratorSet:
 
     def __contains__(self, gid: str) -> bool:
         return gid in self._by_id
-
-    def apply_letter(self, letter: Letter, x):
-        return letter_value(self[letter.gen], letter.sign, x)
 
 
 # -- reference configuration --------------------------------------------------

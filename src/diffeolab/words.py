@@ -74,11 +74,6 @@ def concat_reduce(w1: Word, w2: Word) -> Word:
     return Word(tuple(stack))
 
 
-def suffixes(w: Word) -> list[Word]:
-    """The suffixes of lengths 1..n; these act first under application."""
-    return [Word(w.letters[-k:]) for k in range(1, len(w.letters) + 1)]
-
-
 def word_from_text(text: str, S: GeneratorSet | None = None) -> Word:
     text = text.strip()
     if text in ("", "1"):

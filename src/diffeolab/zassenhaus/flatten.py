@@ -34,10 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..action import (GridSpec, SupEstimate, apply_word, c0_dist_to_id,
-                      map_row_chunks, word_values)
+                      map_row_chunks, orbit, word_values)
 from ..certify import Interval, PingPongCertificate, scan_endpoint_delta
 from ..errors import CapExhausted, DomainError, PreconditionError
-from ..generators import GeneratorMap, GeneratorSet, Letter
+from ..generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv,
+                          letter_value)
 from ..words import EMPTY, Word, concat_reduce, invert
 
 AUDIT_TOL = 1e-12
@@ -137,7 +138,7 @@ def find_escape_word(S: GeneratorSet, start: float, zone: Interval,
         for j, letter in enumerate(letters):
             if last >= 0 and j == (last ^ 1):
                 continue
-            q = float(S.apply_letter(letter, p))
+            q = float(letter_value(S[letter.gen], letter.sign, p))
             if q in seen:
                 continue
             seen.add(q)
@@ -176,10 +177,10 @@ def choose_case(f: GeneratorMap, g: GeneratorMap, z: float,
     """
     F = Word((Letter(f.id, sign),))
     G = Word((Letter(g.id, sign),))
-    fz = f.value(z) if sign > 0 else f.inverse(z)
+    fz = letter_value(f, sign, z)
     if fz < z:
         raise PreconditionError("choose_case needs f(z) >= z; swap the pair")
-    gfz = g.value(fz) if sign > 0 else g.inverse(fz)
+    gfz = letter_value(g, sign, fz)
     if fz <= gfz:
         choice = CaseChoice(1, F, G, z)
     elif z <= gfz:
@@ -381,18 +382,13 @@ def _final_audits(report: FlattenReport, S: GeneratorSet, grid: GridSpec,
                       grid.interior_points(), S)
     lo = 1.0 - delta
     checked = violations = 0
-    for letter in reversed(h1_inv.letters):
-        gmap = S[letter.gen]
-        in_zone = pts >= lo
-        nxt = gmap.value(pts) if letter.sign > 0 else gmap.inverse(pts)
+    for gmap, sign, x, y in orbit(h1_inv, pts, S):
+        in_zone = x >= lo
         if np.any(in_zone):
-            # An inverse letter's derivative comes from the preimage just solved.
-            ds = (gmap.deriv(pts[in_zone]) if letter.sign > 0
-                  else 1.0 / gmap.deriv(nxt[in_zone]))
+            ds = letter_deriv(gmap, sign, x[in_zone], y[in_zone])
             checked += len(ds)
             violations += int(np.count_nonzero(
                 (ds <= 1.0 / theta_n) | (ds >= theta_n)))
-        pts = np.clip(nxt, 0.0, 1.0, out=nxt)
     report.theta_audit_checked = checked
     report.theta_audit_violations = violations
 

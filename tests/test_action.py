@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.action import _PARALLEL_MIN, GridSpec, _MinTracker, apply_word, \
-    c0_dist_to_id, c1_dist_to_id, map_row_chunks, probe_ball, sphere_orbits, \
-    word_deriv_bounds, word_values, word_values_derivs
+from diffeolab.action import _PARALLEL_MIN, CLAMP_TOL, GridSpec, _MinTracker, \
+    apply_word, c0_dist_to_id, c1_dist_to_id, map_row_chunks, orbit, probe_ball, \
+    sphere_orbits, word_deriv_bounds, word_values, word_values_derivs
 from diffeolab.generators import Letter, build_pp, mobius, polybump
 from diffeolab.words import EMPTY, Word, enumerate_sphere, level_word, reduce_letters, \
     sphere_levels, sphere_size
@@ -80,6 +80,41 @@ def test_monotone_transport():
         if x == y:
             continue
         assert apply_word(w, x, PP).value < apply_word(w, y, PP).value
+
+
+@pytest.mark.parametrize("S", [PP, SMOOTH], ids=["pp", "smooth"])
+def test_scalar_and_array_orbits_agree_bitwise(S):
+    rng = np.random.default_rng(1117)
+    for _ in range(200):
+        w = random_word(S, 32, rng)
+        x = float(rng.uniform(0.0, 1.0))
+        tr = apply_word(w, x, S)
+        ys = [x] + [float(y[0]) for *_, y in orbit(w, np.array([x]), S)]
+        assert list(tr.points) == ys
+        assert tr.value == word_values(w, [x], S)[0]
+        assert tr.chain_product == word_values_derivs(w, [x], S)[1][0]
+
+
+class _Overshoot(dl.GeneratorMap):
+    """The identity scaled by 1 + over, so its value at 1 leaves [0, 1]."""
+
+    def _value(self, a):
+        return a * (1.0 + self.params["over"])
+
+
+@pytest.mark.parametrize("over", [10 * CLAMP_TOL, 0.1 * CLAMP_TOL])
+def test_clamp_tol_raises_on_floats_and_clips_arrays(over):
+    o = _Overshoot("o", "mobius", {"lam": 1.0, "over": over}, 1.0, 1.0, 0.0)
+    S = dl.GeneratorSet([o])
+    w = Word((Letter("o", 1), Letter("o", 1)))
+    if over > CLAMP_TOL:
+        with pytest.raises(dl.DomainError):
+            apply_word(w, 1.0, S)
+    else:
+        assert apply_word(w, 1.0, S).points == (1.0, 1.0, 1.0)
+    assert word_values(w, [0.5, 1.0], S)[1] == 1.0
+    ys, ds = word_values_derivs(w, [1.0], S)
+    assert (ys[0], ds[0]) == (1.0, 1.0)
 
 
 def test_c0_empty_word():

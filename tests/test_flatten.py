@@ -1,6 +1,7 @@
 """Flattening pipeline: escape search, case analysis, pigeonhole iteration,
 and the end-to-end run on the reference pair."""
 
+import copy
 import itertools
 import math
 
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.action import word_values
+from diffeolab.action import GridSpec, apply_word, word_values
 from diffeolab.certify import Interval
 from diffeolab.generators import build_pp, mobius
 from diffeolab.zassenhaus import (FlattenParams, choose_case, find_escape_word,
                                   flatten, pigeonhole_bound)
-from diffeolab.words import EMPTY, concat_reduce, word_from_text
-from diffeolab.zassenhaus.flatten import _candidate_word, _closest_same_bucket
+from diffeolab.words import EMPTY, concat_reduce, invert, word_from_text
+from diffeolab.zassenhaus.flatten import _candidate_word, _closest_same_bucket, \
+    _final_audits
 
 PP = build_pp()
 F, G = PP.generators
@@ -217,3 +219,23 @@ def test_flatten_best_certified_monotone():
     rep = flatten(F, G, CERT, 0.2)
     best = [row.best_certified for row in rep.rows]
     assert best == sorted(best, reverse=True)
+
+
+def test_theta_audit_counts_match_pointwise_traces():
+    rep = flatten(F, G, CERT, 0.2)
+    grid = GridSpec(rep.grid_n)
+    h1_inv = invert(concat_reduce(rep.g1, rep.w))
+    h2 = concat_reduce(rep.g2, rep.w)
+    lo = 1.0 - rep.delta
+    zone_derivs = []
+    for x in grid.interior_points():
+        tr = apply_word(h1_inv, apply_word(h2, float(x), PP).value, PP)
+        zone_derivs += [d for p, d in zip(tr.points, tr.letter_derivs) if p >= lo]
+    # A theta tight enough that about half the in-zone letters trip it.
+    theta = math.exp(float(np.median(np.abs(np.log(zone_derivs)))))
+    expected = sum(1 for d in zone_derivs if not 1.0 / theta < d < theta)
+    audited = copy.copy(rep)
+    _final_audits(audited, PP, grid, rep.delta, theta)
+    assert 0 < expected < len(zone_derivs)
+    assert audited.theta_audit_checked == len(zone_derivs)
+    assert audited.theta_audit_violations == expected

@@ -104,7 +104,7 @@ def test_derivative_matches_finite_difference(gmap):
 
 @pytest.mark.parametrize("gmap", all_test_maps(), ids=lambda g: g.id)
 def test_global_bounds_sound(gmap):
-    inf, sup, lip = dl.global_bounds(gmap)
+    inf, sup, lip = gmap.der_inf, gmap.der_sup, gmap.der_lip
     xs = np.linspace(0.0, 1.0, 20_001)
     ds = gmap.deriv(xs)
     assert np.min(ds) >= inf - 1e-12
@@ -130,7 +130,7 @@ def test_mobius_bounds_exact():
 def test_blend_zero_is_identity():
     f = build_pp()["f"]
     ident = blend("id", f, 0.0)
-    assert dl.global_bounds(ident) == (1.0, 1.0, 0.0)
+    assert (ident.der_inf, ident.der_sup, ident.der_lip) == (1.0, 1.0, 0.0)
     xs = np.linspace(0.0, 1.0, 997)
     # identity segments evaluate as y_i + (x - x_i): exact up to one rounding
     assert np.max(np.abs(ident.value(xs) - xs)) <= 2e-16

@@ -11,7 +11,7 @@ from diffeolab.generators import Letter, build_pp
 from diffeolab.words import (EMPTY, Word, concat_reduce, enumerate_positive,
                              enumerate_sphere, invert, level_word,
                              positive_count, reduce_letters, sphere_levels,
-                             sphere_size, suffixes, word_from_text)
+                             sphere_size, word_from_text)
 
 S = build_pp()
 F, FI, G, GI = S.alphabet
@@ -47,13 +47,6 @@ def test_invert_and_concat():
     for _ in range(10_000):
         w = random_word()
         assert concat_reduce(w, invert(w)).letters == ()
-
-
-def test_suffixes():
-    assert [w.letters for w in suffixes(reduce_letters([F, G]))] == [(G,), (F, G)]
-    assert suffixes(EMPTY) == []
-    w = reduce_letters([F, F, GI])
-    assert [x.text for x in suffixes(w)] == ["g^-1", "f g^-1", "f f g^-1"]
 
 
 def brute_sphere(n):
