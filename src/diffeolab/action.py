@@ -60,19 +60,6 @@ class OrbitTrace:
         return self.points[-1]
 
 
-def _pairwise_product(vals):
-    """Product with pairwise reduction; used for chains longer than 32."""
-    vals = list(vals)
-    if len(vals) <= 32:
-        return math.prod(vals)
-    while len(vals) > 1:
-        half = [vals[i] * vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            half.append(vals[-1])
-        vals = half
-    return vals[0]
-
-
 def orbit(w: Word, xs, S: GeneratorSet):
     """Apply ``w`` to a float or an array letter by letter, suffix first.
 
@@ -108,7 +95,7 @@ def apply_word(w: Word, x: float, S: GeneratorSet) -> OrbitTrace:
         derivs.append(letter_deriv(g, sign, x, y))
     return OrbitTrace(x0=x0, points=tuple(pts),
                       letter_derivs=tuple(derivs),
-                      chain_product=_pairwise_product(derivs) if derivs else 1.0)
+                      chain_product=math.prod(derivs, start=1.0))
 
 
 def word_values(w: Word, xs: np.ndarray, S: GeneratorSet) -> np.ndarray:
@@ -231,13 +218,12 @@ def map_row_chunks(fn, xs: np.ndarray, outs, threads: int) -> None:
 
 def _letter_step(S: GeneratorSet, letter: Letter, derivs: bool):
     """The ``map_row_chunks`` kernel of one letter: x -> its values and, with
-    ``derivs``, the generator derivative at the lower end of the step, g'(x)
-    for a letter g and g'(pre) for g^-1 with pre = g^-1(x)."""
+    ``derivs``, its derivatives there (``letter_deriv``)."""
     g, sign = S[letter.gen], letter.sign
 
     def step(x):
         y = letter_value(g, sign, x)
-        return (y, g.deriv(x if sign > 0 else y)) if derivs else (y,)
+        return (y, letter_deriv(g, sign, x, y)) if derivs else (y,)
 
     return step
 
@@ -248,12 +234,15 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
 
     For each level m it yields a list: per start point, the values of the
     level's words there (row order of ``levels[m]``); then, when ``derivs``
-    is set, per start point each row's generator derivative at the lower end
-    of its letter step (see ``_letter_step``).  Level m + 1 starts from the
-    yielded value arrays, so a caller that changes them in place (the probe
-    clips) propagates that.
+    is set, per start point the words' derivatives there.  A row's
+    derivative is its leading letter's derivative times its suffix row's,
+    in ``apply_word``'s multiply order, so it equals that word's
+    ``chain_product`` bitwise.  Level m + 1 starts from the yielded arrays,
+    so a caller that changes them in place (the probe clips values)
+    propagates that.
     """
     vals = [np.array([float(x)]) for x in starts]
+    ders = [np.ones(1) for _ in starts]
     for lev in levels[1:]:
         new_vals = [np.empty(lev.size) for _ in vals]
         new_ders = [np.empty(lev.size) for _ in vals] if derivs else []
@@ -263,7 +252,9 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
                 for i, v in enumerate(vals):
                     outs = [new_vals[i][rows]] + ([new_ders[i][rows]] if derivs else [])
                     map_row_chunks(step, v[src], outs, threads)
-        vals = new_vals
+                    if derivs:
+                        outs[1] *= ders[i][src]
+        vals, ders = new_vals, new_ders
         yield new_vals + new_ders
 
 
@@ -345,7 +336,8 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
     levels below the outermost go through ``sphere_orbits``, and each one's
     values and derivative products are kept only until the next level is
     built from them.  The outermost level is never stored: its rows are
-    computed from the suffix slices of the level below in blocks of
+    computed from the suffix slices of the level below, with the same
+    letter step and suffix product as ``sphere_orbits``, in blocks of
     ``4 * threads * _PARALLEL_MIN`` rows, folded into the running minima and
     dropped.  The fold is elementwise and sees rows in order, so the minima,
     first-occurrence argmins and counts do not depend on the block size.
@@ -373,13 +365,6 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
             gap = np.subtract(part, target, out=buf[:part.size])
             tracker.update(np.abs(gap, out=gap), m, offset + a)
 
-    def chain(d, s, prev):
-        # Derivative products of rows led by letter s, in place: 1 / g'(pre)
-        # on inverse letters, times the suffix rows' products ``prev``.
-        if s % 2:
-            np.divide(1.0, d, out=d)
-        return np.multiply(d, prev, out=d)
-
     def record(m):
         rows.append((m,
                      disp_t.value if displacement else None,
@@ -391,9 +376,6 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
         if displacement:
             track(disp_t, vals, x0, m)
         if deriv_gap:
-            for s in range(len(S.alphabet)):
-                for dst, src in levels[m].suffix_slices(s):
-                    chain(level[1][dst], s, ders[src])
             ders = level[1]
             track(gap_t, ders, 1.0, m)
         record(m)
@@ -415,8 +397,8 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
                         np.clip(out[0], 0.0, 1.0, out=out[0])
                         track(disp_t, out[0], x0, top, dst.start + a)
                     if deriv_gap:
-                        track(gap_t, chain(out[1], s, ders[prev]), 1.0, top,
-                              dst.start + a)
+                        np.multiply(out[1], ders[prev], out=out[1])
+                        track(gap_t, out[1], 1.0, top, dst.start + a)
         record(top)
 
     def emit(track, on):

@@ -102,27 +102,34 @@ def build_generator_set(cfg: ExperimentConfig):
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    if "experiment" not in parser:
+    if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
-    exp = parser["experiment"]
+    exp = sections["experiment"]
     command = exp.get("command", "").strip()
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     budget = exp.get("time_budget", "120").strip()
     cfg = ExperimentConfig(
         command=command,
-        threads=exp.getint("threads", fallback=1),
-        time_budget_s=None if budget in ("", "none") else float(budget),
+        threads=ival(exp, "threads", 1),
+        time_budget_s=(None if budget in ("", "none")
+                       else fval(exp, "time_budget", 120.0)),
         out_dir=exp.get("out", "out"),
-        generators=dict(parser["generators"]) if "generators" in parser else {},
-        params=dict(parser[command]) if command in parser else {},
-        wreath=dict(parser["wreath"]) if "wreath" in parser else {},
+        generators=sections.get("generators", {}),
+        params=sections.get(command, {}),
+        wreath=sections.get("wreath", {}),
     )
     if cfg.threads < 1:
         raise ConfigError("threads must be positive")
+    if cfg.time_budget_s is not None and not cfg.time_budget_s > 0:
+        raise ConfigError("time_budget must be positive, or none")
     return cfg
 
 

@@ -153,10 +153,6 @@ class SphereLevel:
     def size(self) -> int:
         return self.offsets[-1] if self.n else 1
 
-    def rows(self, s: int) -> slice:
-        """The rows led by alphabet letter ``s``."""
-        return slice(self.offsets[s], self.offsets[s + 1])
-
     def suffix_slices(self, s: int | None = None):
         """Yield ``(rows, suffix_rows)`` slice pairs for letter ``s``, or for
         every letter when ``s`` is None.

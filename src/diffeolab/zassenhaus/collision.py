@@ -154,7 +154,9 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
                                 nf=None) -> CollisionReport:
     """Level-by-level bucket search for a star-1/star-2 pair.
 
-    Each level offers one pair, the canonical one of ``_bucket_pair``.  It is
+    ``sphere_orbits`` gives every sphere word's value and derivative at x0;
+    values key the buckets and log derivatives the sub-buckets.  Each level
+    offers one pair, the canonical one of ``_bucket_pair``.  It is
     accepted when it passes star-1, star-2 and V'(x0) in (1 - C, 1 + C);
     otherwise the search moves on to the next level.  With a normal form
     available, pairs distinct as group elements are preferred and the report
@@ -173,20 +175,14 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
     width_d = math.log1p(params.c1)
     big_m = S.lip_max
 
-    logds = np.array([0.0])
     orbits = sphere_orbits(S, levels, [params.x0], derivs=True)
     for m in range(1, len(levels)):
         if deadline and time.monotonic() > deadline:
             report.status = "time_budget"
             break
         lev = levels[m]
-        vals, logd = next(orbits)
-        np.log(logd, out=logd)
-        for s in range(1, len(S.alphabet), 2):  # inverse letters
-            np.negative(logd[lev.rows(s)], out=logd[lev.rows(s)])
-        for rows, src in lev.suffix_slices():
-            np.add(logds[src], logd[rows], out=logd[rows])
-        logds = logd
+        vals, ders = next(orbits)
+        logds = np.log(ders)  # a new array: the next level reads ``ders``
         width_v = params.lam ** float(-m)
         _, counts = np.unique(np.floor(vals / width_v), return_counts=True)
         pair = _bucket_pair(vals, logds, width_v, width_d,

@@ -118,6 +118,47 @@ def test_threads_below_one_is_config_error(tmp_path, capsys, threads):
     assert not (tmp_path / "o").exists()
 
 
+PROBE_TAIL = "[generators]\npreset = pp\n\n[probe]\nx0 = 0.5\nn = 3\n"
+
+
+@pytest.mark.parametrize("text", [
+    b"[experiment]\ncommand = probe\nthreads = abc\n\n" + PROBE_TAIL.encode(),
+    b"[experiment]\ncommand = probe\nthreads = 2.5\n\n" + PROBE_TAIL.encode(),
+    b"[experiment]\ncommand = probe\ntime_budget = soon\n\n" + PROBE_TAIL.encode(),
+    b"[experiment]\ncommand = probe\n\n[generators\npreset = pp\n",
+    b"[experiment]\ncommand = probe\ncommand = probe\n\n" + PROBE_TAIL.encode(),
+    b"[experiment]\ncommand = probe\nout = \xff\n\n" + PROBE_TAIL.encode(),
+    b"[experiment]\ncommand = probe\nout = 50%\n\n" + PROBE_TAIL.encode(),
+], ids=["threads-abc", "threads-2.5", "budget-soon", "missing-bracket",
+        "duplicate-key", "non-utf8", "bare-percent"])
+def test_malformed_config_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text)
+    rc = main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "0.0", "nan"])
+def test_time_budget_not_positive_is_config_error(tmp_path, capsys, budget):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[experiment]\ncommand = probe\ntime_budget = {budget}\n\n"
+                   + PROBE_TAIL)
+    rc = main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert "time_budget must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget, seconds", [("none", None), ("", None),
+                                             ("1e-9", 1e-9), ("30", 30.0)])
+def test_time_budget_values(tmp_path, budget, seconds):
+    cfg = tmp_path / "ok.ini"
+    cfg.write_text(f"[experiment]\ncommand = probe\ntime_budget = {budget}\n\n"
+                   + PROBE_TAIL)
+    assert load_config(str(cfg)).time_budget_s == seconds
+
+
 @pytest.mark.parametrize("kind", ["displacment", "none", ""])
 def test_unknown_probe_kind_is_config_error(tmp_path, capsys, kind):
     cfg = tmp_path / "bad.ini"

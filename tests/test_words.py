@@ -105,7 +105,8 @@ def test_level_offsets_group_rows_by_leading_letter(wreath):
         leading = np.array([t[0] for t in words])
         assert lev.offsets[-1] == lev.size == len(words)
         for s in range(4):
-            assert np.array_equal(np.arange(lev.size)[lev.rows(s)],
+            led = slice(lev.offsets[s], lev.offsets[s + 1])
+            assert np.array_equal(np.arange(lev.size)[led],
                                   np.nonzero(leading == s)[0])
         parent = np.full(lev.size, -1)
         for rows, src in lev.suffix_slices():
