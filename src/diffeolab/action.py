@@ -216,46 +216,56 @@ def map_row_chunks(fn, xs: np.ndarray, outs, threads: int) -> None:
         list(pool.map(work, range(chunks)))
 
 
-def _letter_step(S: GeneratorSet, letter: Letter, derivs: bool):
-    """The ``map_row_chunks`` kernel of one letter: x -> its values and, with
-    ``derivs``, its derivatives there (``letter_deriv``)."""
-    g, sign = S[letter.gen], letter.sign
+def _fill_level(S: GeneratorSet, lev, prev, outs, start: int, derivs: bool,
+                threads: int) -> None:
+    """Write rows ``start .. start + len(outs[0])`` of sphere level ``lev``
+    into ``outs``, reading the previous level's arrays ``prev``.
 
-    def step(x):
-        y = letter_value(g, sign, x)
-        return (y, letter_deriv(g, sign, x, y)) if derivs else (y,)
+    Both hold per start point the values, then, with ``derivs``, per start
+    point the derivatives.  A row's value is its leading letter at its
+    suffix row's value, clipped to [0, 1] in place as ``orbit`` clips
+    arrays; its derivative is that letter's derivative there times the
+    suffix row's, in ``apply_word``'s multiply order.
+    """
+    stop = start + len(outs[0])
+    k = len(prev) // (1 + derivs)
+    for s, letter in enumerate(S.alphabet):
+        g, sign = S[letter.gen], letter.sign
 
-    return step
+        def step(x):
+            y = letter_value(g, sign, x)
+            np.clip(y, 0.0, 1.0, out=y)
+            return (y, letter_deriv(g, sign, x, y)) if derivs else (y,)
+
+        for rows, src in lev.suffix_slices(s):
+            a, b = max(rows.start, start), min(rows.stop, stop)
+            if a >= b:
+                continue
+            part = slice(src.start + a - rows.start, src.start + b - rows.start)
+            for i in range(k):
+                out = [o[a - start:b - start] for o in outs[i::k]]
+                map_row_chunks(step, prev[i][part], out, threads)
+                if derivs:
+                    out[1] *= prev[k + i][part]
 
 
 def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
                   threads: int = 1):
     """Propagate start points through sphere levels 1, 2, ... lazily.
 
-    For each level m it yields a list: per start point, the values of the
-    level's words there (row order of ``levels[m]``); then, when ``derivs``
-    is set, per start point the words' derivatives there.  A row's
-    derivative is its leading letter's derivative times its suffix row's,
-    in ``apply_word``'s multiply order, so it equals that word's
-    ``chain_product`` bitwise.  Level m + 1 starts from the yielded arrays,
-    so a caller that changes them in place (the probe clips values)
-    propagates that.
+    For each level m it yields ``_fill_level``'s arrays of the whole level
+    (row order of ``levels[m]``): each word's value equals its
+    ``word_values`` and its derivative its ``apply_word`` ``chain_product``
+    bitwise.  Level m + 1 starts from the yielded arrays, so a caller that
+    changes them in place propagates that.
     """
-    vals = [np.array([float(x)]) for x in starts]
-    ders = [np.ones(1) for _ in starts]
+    prev = [np.array([float(x)]) for x in starts]
+    prev += [np.ones(1) for _ in starts] if derivs else []
     for lev in levels[1:]:
-        new_vals = [np.empty(lev.size) for _ in vals]
-        new_ders = [np.empty(lev.size) for _ in vals] if derivs else []
-        for s, letter in enumerate(S.alphabet):
-            step = _letter_step(S, letter, derivs)
-            for rows, src in lev.suffix_slices(s):
-                for i, v in enumerate(vals):
-                    outs = [new_vals[i][rows]] + ([new_ders[i][rows]] if derivs else [])
-                    map_row_chunks(step, v[src], outs, threads)
-                    if derivs:
-                        outs[1] *= ders[i][src]
-        vals, ders = new_vals, new_ders
-        yield new_vals + new_ders
+        outs = [np.empty(lev.size) for _ in prev]
+        _fill_level(S, lev, prev, outs, 0, derivs, threads)
+        prev = outs
+        yield outs
 
 
 # -- ball probes ---------------------------------------------------------------
@@ -331,16 +341,14 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
                deriv_gap=True, cap: int = 4_000_000, threads: int = 1) -> ProbeReport:
     """Exact minima over every nontrivial reduced word of length <= n.
 
-    Evaluation walks sphere levels with vectorized letter application; workers
-    only split array chunks, so results are independent of ``threads``.  The
-    levels below the outermost go through ``sphere_orbits``, and each one's
-    values and derivative products are kept only until the next level is
-    built from them.  The outermost level is never stored: its rows are
-    computed from the suffix slices of the level below, with the same
-    letter step and suffix product as ``sphere_orbits``, in blocks of
-    ``4 * threads * _PARALLEL_MIN`` rows, folded into the running minima and
-    dropped.  The fold is elementwise and sees rows in order, so the minima,
-    first-occurrence argmins and counts do not depend on the block size.
+    Evaluation walks sphere levels with ``_fill_level``; workers only split
+    array chunks, so results are independent of ``threads``.  Each level
+    below the outermost is kept whole only until the next is built from it.
+    The outermost is never stored: it runs through one window of
+    ``4 * threads * _PARALLEL_MIN`` rows at a time, each folded into the
+    running minima and dropped.  The fold is elementwise and sees rows in
+    order, so the minima, first-occurrence argmins and counts do not depend
+    on the window.
     """
     if not (displacement or deriv_gap):
         raise PreconditionError("ball probe needs displacement or deriv_gap")
@@ -353,53 +361,33 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
     levels = sphere_levels(S, n, cap=cap)
     complete = len(levels) == n + 1
     top = len(levels) - 1
-    vals, ders = np.array([float(x0)]), np.array([1.0])
+    prev = [np.array([float(x0)])] + ([np.ones(1)] if deriv_gap else [])
     disp_t, gap_t = _MinTracker(), _MinTracker()
     buf = np.empty(_PARALLEL_MIN)
     rows = []
 
-    def track(tracker, arr, target, m, offset=0):
+    def track(tracker, arr, target, m, offset):
         # |arr - target| one block at a time, through the one buffer.
         for a in range(0, arr.size, _PARALLEL_MIN):
             part = arr[a:a + _PARALLEL_MIN]
             gap = np.subtract(part, target, out=buf[:part.size])
             tracker.update(np.abs(gap, out=gap), m, offset + a)
 
-    def record(m):
-        rows.append((m,
-                     disp_t.value if displacement else None,
-                     gap_t.value if deriv_gap else None))
-
-    orbits = sphere_orbits(S, levels[:top], [x0], derivs=deriv_gap, threads=threads)
-    for m, level in enumerate(orbits, start=1):
-        vals = np.clip(level[0], 0.0, 1.0, out=level[0])
-        if displacement:
-            track(disp_t, vals, x0, m)
-        if deriv_gap:
-            ders = level[1]
-            track(gap_t, ders, 1.0, m)
-        record(m)
-
-    if top:
-        lev = levels[top]
+    for m in range(1, top + 1):
+        size = levels[m].size
         # Four kernel blocks per thread: each block starts one thread pool.
-        block = min(4 * threads * _PARALLEL_MIN,
-                    max(dst.stop - dst.start for dst, _ in lev.suffix_slices()))
-        outs = [np.empty(block) for _ in range(1 + deriv_gap)]
-        for s, letter in enumerate(S.alphabet):
-            step = _letter_step(S, letter, deriv_gap)
-            for dst, src in lev.suffix_slices(s):
-                for a in range(0, dst.stop - dst.start, block):
-                    prev = slice(src.start + a, min(src.start + a + block, src.stop))
-                    out = [o[:prev.stop - prev.start] for o in outs]
-                    map_row_chunks(step, vals[prev], out, threads)
-                    if displacement:
-                        np.clip(out[0], 0.0, 1.0, out=out[0])
-                        track(disp_t, out[0], x0, top, dst.start + a)
-                    if deriv_gap:
-                        np.multiply(out[1], ders[prev], out=out[1])
-                        track(gap_t, out[1], 1.0, top, dst.start + a)
-        record(top)
+        window = size if m < top else min(4 * threads * _PARALLEL_MIN, size)
+        outs = [np.empty(window) for _ in prev]
+        for a in range(0, size, window):
+            part = [o[:min(window, size - a)] for o in outs]
+            _fill_level(S, levels[m], prev, part, a, deriv_gap, threads)
+            if displacement:
+                track(disp_t, part[0], x0, m, a)
+            if deriv_gap:
+                track(gap_t, part[1], 1.0, m, a)
+        prev = outs
+        rows.append((m, disp_t.value if displacement else None,
+                     gap_t.value if deriv_gap else None))
 
     def emit(track, on):
         if not on or track.where is None:

@@ -13,14 +13,13 @@ import time
 from dataclasses import dataclass, field
 
 from . import reports
-from .action import GridSpec, probe_ball
+from .action import probe_ball
 from .certify import Interval, check_endpoint_slopes, check_pingpong, \
     positive_pair_separation, scan_endpoint_delta
 from .config import (COMMANDS, ExperimentConfig, build_generator_set, fval,
                      ival, load_config, pair_val, wreath_args)
 from .errors import (CapExhausted, ConfigError, ConstructionError, DomainError,
-                     LabError, NumericError, PreconditionError)
-from .generators import GeneratorSet
+                     NumericError, PreconditionError)
 from .words import growth_stats
 from .zassenhaus import (CollisionParams, FlattenParams, TransportParams,
                          derivative_collision_search, flatten,
@@ -30,8 +29,6 @@ STATUS_OK = 0
 STATUS_EXHAUSTED = 2
 STATUS_PRECONDITION = 3
 STATUS_CONFIG = 4
-
-_SEARCH_OK = {"success", "found", "pass"}
 
 
 @dataclass

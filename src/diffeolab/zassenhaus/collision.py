@@ -14,16 +14,15 @@ must land inside (1 - C, 1 + C).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..action import apply_word, check_c1_ball, sphere_orbits
-from ..errors import DomainError, PreconditionError
+from ..errors import PreconditionError
 from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
-from .pairs import pick_pair
+from .pairs import budget_spent, pick_pair
 
 
 def _bracket_n1(eta: float, c1: float, cap: int = 10_000_000) -> int | None:
@@ -167,8 +166,7 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
     check_c1_ball(S, params.epsilon)
     n1 = _bracket_n1(params.eta, params.c1)
     report = CollisionReport(status="not_found", params=params, n1=n1)
-    deadline = (time.monotonic() + params.time_budget_s
-                if params.time_budget_s else None)
+    spent = budget_spent(params.time_budget_s)
     levels = sphere_levels(S, params.n_max, cap=params.word_cap)
     if len(levels) != params.n_max + 1:
         report.status = "cap_exhausted"
@@ -177,7 +175,7 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
 
     orbits = sphere_orbits(S, levels, [params.x0], derivs=True)
     for m in range(1, len(levels)):
-        if deadline and time.monotonic() > deadline:
+        if spent():
             report.status = "time_budget"
             break
         lev = levels[m]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,7 @@ from ..errors import CapExhausted, DomainError, PreconditionError
 from ..generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv,
                           letter_value)
 from ..words import EMPTY, Word, concat_reduce, invert
+from .pairs import budget_spent
 
 AUDIT_TOL = 1e-12
 
@@ -260,8 +260,7 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
         raise PreconditionError("grid too coarse: need 1/N < epsilon")
     theta_n = 0.5 * (1.0 + 2.0 ** (1.0 / (2 * N)))
     delta = scan_endpoint_delta(S, side=1, theta=theta_n)
-    deadline = (time.monotonic() + params.time_budget_s
-                if params.time_budget_s else None)
+    spent = budget_spent(params.time_budget_s)
 
     # Deepened zone: the case maps move points by at most theta_n^4 in zone.
     zone = Interval(1.0 - delta * theta_n ** -4, 1.0)
@@ -297,7 +296,7 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     all_rows = base_mat[:0]              # level n is the last 2^n rows
     lemma1_min = math.inf
     for n in range(1, params.n_max + 1):
-        if deadline and time.monotonic() > deadline:
+        if spent():
             report.status = "time_budget"
             break
         prev = all_rows[len(all_rows) // 2 - 1:] if n > 1 else base_mat

@@ -1,4 +1,5 @@
-"""The pigeonhole pair rule that transport and collision share.
+"""What the search engines share: the time budget, and the pigeonhole pair
+rule of transport and collision.
 
 Two words in one bucket give a quotient g1^-1 g2 close to the identity; the
 rule picks which two, preferring pairs that differ as group elements.
@@ -7,6 +8,16 @@ rule picks which two, preferring pairs that differ as group elements.
 from __future__ import annotations
 
 import functools
+import time
+
+
+def budget_spent(time_budget_s):
+    """A check that says whether ``time_budget_s`` seconds have passed since
+    this call.  None never runs out; any number, 0 included, bounds the run."""
+    if time_budget_s is None:
+        return lambda: False
+    deadline = time.monotonic() + time_budget_s
+    return lambda: time.monotonic() >= deadline
 
 
 def pick_pair(groups, form=None, stop=None):

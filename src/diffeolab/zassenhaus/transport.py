@@ -12,7 +12,6 @@ g2(x0) inside g1(D) pulls back to g1^-1 g2(x0) inside D itself.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from ..certify import Interval
 from ..errors import DomainError
 from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
-from .pairs import pick_pair
+from .pairs import budget_spent, pick_pair
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,7 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
         raise DomainError("base interval must sit inside (0, 1)")
     check_c1_ball(S, params.epsilon)
     factor = max(1.0 - 10.0 * params.epsilon, 0.0)
-    deadline = (time.monotonic() + params.time_budget_s
-                if params.time_budget_s else None)
+    spent = budget_spent(params.time_budget_s)
 
     report = TransportReport(status="not_found", x0=params.x0, delta=delta,
                              epsilon=params.epsilon, lam=params.lam)
@@ -99,7 +97,7 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
     orbits = sphere_orbits(S, levels, [delta.lo, delta.hi])
     found = None
     for m in range(1, len(levels)):
-        if deadline and time.monotonic() > deadline:
+        if spent():
             report.status = "time_budget"
             break
         lev = levels[m]

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..action import GridSpec, SupEstimate, c1_dist_to_id
 from ..certify import Interval
 from ..errors import ConstructionError, DomainError

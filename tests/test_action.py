@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.action import _PARALLEL_MIN, CLAMP_TOL, GridSpec, _MinTracker, \
-    apply_word, c0_dist_to_id, c1_dist_to_id, map_row_chunks, orbit, probe_ball, \
+from diffeolab.action import _PARALLEL_MIN, CLAMP_TOL, GridSpec, _fill_level, \
+    _MinTracker, apply_word, c0_dist_to_id, c1_dist_to_id, map_row_chunks, orbit, probe_ball, \
     sphere_orbits, word_deriv_bounds, word_values, word_values_derivs
 from diffeolab.generators import Letter, build_pp, mobius, polybump
 from diffeolab.words import EMPTY, Word, enumerate_sphere, level_word, reduce_letters, \
@@ -384,6 +384,44 @@ def test_sphere_orbits_values_only_and_thread_invariant():
         assert len(a) == 2 and len(c) == 1
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert np.array_equal(a[0], c[0])
+
+
+@pytest.mark.parametrize("S", [PP, WREATH], ids=["pp", "wreath"])
+def test_fill_level_windows_equal_the_whole_level(S):
+    starts = [0.37, 0.5, 0.405]
+    levels = sphere_levels(S, 6)
+    whole = list(sphere_orbits(S, levels, starts, derivs=True))
+    prev = [np.array([x]) for x in starts] + [np.ones(1) for _ in starts]
+    straddled = {1: set(), 7: set(), 64: set()}
+    for lev, level in zip(levels[1:], whole):
+        letters = set(lev.offsets[1:-1])
+        slices = {rows.start for rows, _ in lev.suffix_slices()} - letters - {0}
+        for window in (1, 7, 64):
+            outs = [np.full(lev.size, np.nan) for _ in prev]
+            for a in range(0, lev.size, window):
+                _fill_level(S, lev, prev, [o[a:a + window] for o in outs], a,
+                            True, 1)
+                for kind, cuts in (("letter", letters), ("slice", slices)):
+                    if any(a < c < a + window for c in cuts):
+                        straddled[window].add(kind)
+            assert all(np.array_equal(o, w) for o, w in zip(outs, level))
+        prev = level
+    assert straddled == {1: set(), 7: {"letter", "slice"}, 64: {"letter", "slice"}}
+
+
+def test_sphere_orbits_clip_values_as_orbit_does(monkeypatch):
+    # A letter that overshoots 1 is clipped before the next letter reads it.
+    value = dl.action.letter_value
+    monkeypatch.setattr(dl.action, "letter_value",
+                        lambda g, sign, x: value(g, sign, x) * (1.0 + 1e-9))
+    starts = [1.0 - 1e-12, 0.41]
+    levels = sphere_levels(PP, 4)
+    for m, level in enumerate(sphere_orbits(PP, levels, starts, derivs=True), 1):
+        for i in range(levels[m].size):
+            w = level_word(levels, m, i, PP)
+            ys, ds = word_values_derivs(w, starts, PP)
+            assert [a[i] for a in level] == [*ys, *ds]
+            assert level[0][i] == word_values(w, starts[:1], PP)[0] == 1.0
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -6,7 +6,8 @@ import diffeolab as dl
 from diffeolab.action import word_values
 from diffeolab.generators import blend, build_pp, mobius
 from diffeolab.words import Word, level_word, sphere_levels
-from diffeolab.zassenhaus import TransportParams, build_wreath_pair, \
+from diffeolab.zassenhaus import CollisionParams, FlattenParams, \
+    TransportParams, build_wreath_pair, derivative_collision_search, flatten, \
     interval_transport_search, transport
 from diffeolab.zassenhaus.pairs import pick_pair
 
@@ -144,3 +145,23 @@ def test_interval_inside_unit(pair):
                              lam=1.1, n_max=3)
     with pytest.raises(dl.DomainError):
         interval_transport_search(pair.generator_set, params)
+
+
+@pytest.mark.parametrize("engine", ["flatten", "transport", "collision"])
+def test_zero_time_budget_stops_before_the_first_level(pair, engine):
+    # None is the unbounded budget; 0 is spent at once.
+    S = pair.generator_set
+    if engine == "flatten":
+        f, g = build_pp().generators
+        cert = dl.check_pingpong(f, g, dl.Interval(*dl.PP_I), dl.Interval(*dl.PP_J))
+        rep = flatten(f, g, cert, 0.5, FlattenParams(0.5, time_budget_s=0))
+    elif engine == "transport":
+        rep = interval_transport_search(S, TransportParams(
+            x0=0.41, delta_len=0.05, epsilon=0.1, lam=1.1, n_max=6,
+            time_budget_s=0), nf=pair.normal_form)
+    else:
+        eps = max(pair.d1_u.certified_bound, pair.d1_v.certified_bound)
+        rep = derivative_collision_search(S, CollisionParams(
+            x0=0.5, c=0.5, lam=1.1, epsilon=eps, n_max=14, time_budget_s=0),
+            nf=pair.normal_form)
+    assert rep.status == "time_budget" and rep.rows == []
