@@ -139,20 +139,23 @@ class SupEstimate:
     grid: GridSpec
     argmax_x: float = math.nan
 
+    @classmethod
+    def squeeze(cls, grid: GridSpec, ys: np.ndarray) -> "SupEstimate":
+        """Sup |w(x) - x| of a monotone w from ``ys = w(grid.points())``,
+        certified by monotonicity alone: on [x_i, x_{i+1}] the displacement
+        is squeezed between the neighboring grid displacements shifted by
+        tau, so the true sup never exceeds grid_max + tau."""
+        xs = grid.points()
+        disp = np.abs(ys - xs)
+        k = int(np.argmax(disp))
+        return cls(grid_max=float(disp[k]),
+                   certified_bound=float(disp[k]) + grid.tau,
+                   grid=grid, argmax_x=float(xs[k]))
+
 
 def c0_dist_to_id(w: Word, grid: GridSpec, S: GeneratorSet) -> SupEstimate:
-    """Sup displacement |w(x) - x|, certified by monotonicity alone.
-
-    For monotone w and x in [x_i, x_{i+1}] the displacement is squeezed
-    between the neighboring grid displacements shifted by tau, so the true
-    sup never exceeds grid_max + tau.
-    """
-    xs = grid.points()
-    disp = np.abs(word_values(w, xs, S) - xs)
-    k = int(np.argmax(disp))
-    return SupEstimate(grid_max=float(disp[k]),
-                       certified_bound=float(disp[k]) + grid.tau,
-                       grid=grid, argmax_x=float(xs[k]))
+    """Sup displacement |w(x) - x|: ``SupEstimate.squeeze`` of w on the grid."""
+    return SupEstimate.squeeze(grid, word_values(w, grid.points(), S))
 
 
 def c1_dist_to_id(w: Word, grid: GridSpec, S: GeneratorSet) -> SupEstimate:

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..action import (GridSpec, SupEstimate, apply_word, c0_dist_to_id,
-                      map_row_chunks, orbit, word_values)
+from ..action import (GridSpec, SupEstimate, apply_word, map_row_chunks,
+                      orbit, word_values)
 from ..certify import Interval, PingPongCertificate, scan_endpoint_delta
 from ..errors import CapExhausted, DomainError, PreconditionError
 from ..generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv,
@@ -98,6 +98,8 @@ class FlattenReport:
     theoretical_n: int | None = None
     nontrivial_point: tuple[float, float] | None = None
     notes: tuple[str, ...] = ()
+    # W at grid.points(), where every C0 check and the theta audit start.
+    w_grid: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def find_escape_word(S: GeneratorSet, start: float, zone: Interval,
@@ -267,8 +269,9 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     W = find_escape_word(S, 1.0 / N, zone, cap=params.escape_cap)
 
     grid = GridSpec(N)
-    xs_int = grid.interior_points()
-    y = word_values(W, xs_int, S)
+    xs = grid.points()
+    w_grid = word_values(W, xs, S)
+    y = w_grid[1:-1]
     z = float(y[0])
     sign = 1 if f.value(z) >= z else -1
     choice = choose_case(f, g, z, sign)
@@ -276,14 +279,14 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
 
     base = word_values(concat_reduce(beta, alpha),
                        np.concatenate([y, [z0, z]]), S)
-    n_grid = len(xs_int)
+    n_grid = len(y)
     base_mat = base.reshape(1, -1)
     bucket_base = params.bucket_base or 2.0 ** (1.0 / (2 * N))
 
     report = FlattenReport(
         status="cap_exhausted", epsilon=epsilon, grid_n=N, theta_n=theta_n,
         delta=delta, swapped=sign < 0, case=choice.case, alpha=alpha,
-        beta=beta, z0=z0, z=z, w=W, m=len(W),
+        beta=beta, z0=z0, z=z, w=W, m=len(W), w_grid=w_grid,
         notes=("candidates enumerate P_n = {U beta alpha : 1 <= |U| <= n}",
                "theoretical level uses the doubled derivative-sum constant"),
     )
@@ -324,7 +327,7 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
             h1 = concat_reduce(g1, W)
             h2 = concat_reduce(g2, W)
             v = concat_reduce(invert(h1), h2)
-            est = c0_dist_to_id(v, grid, S)
+            est = SupEstimate.squeeze(grid, _values_past(v, W, w_grid, xs, S))
             if est.certified_bound < report.best_certified:
                 report.best_certified = est.certified_bound
                 report.best_v = v
@@ -348,6 +351,16 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     if report.status == "success":
         _final_audits(report, S, grid, delta, theta_n)
     return report
+
+
+def _values_past(word, w, w_xs, xs, S):
+    """``word(xs)`` given ``w_xs = w(xs)``: a word that ends in ``w`` applies
+    only its other letters to ``w_xs``, bitwise ``word_values(word, xs, S)``
+    as ``orbit`` goes suffix first; any other is evaluated whole."""
+    k = len(word) - len(w)
+    if k >= 0 and word.letters[k:] == w.letters:
+        return word_values(Word(word.letters[:k]), w_xs, S)
+    return word_values(word, xs, S)
 
 
 def _closest_same_bucket(rows, width):
@@ -377,8 +390,8 @@ def _final_audits(report: FlattenReport, S: GeneratorSet, grid: GridSpec,
     # Pull-back letter control: wherever the traced point sits in the zone,
     # the letter derivative must stay inside (1/theta_N, theta_N).
     h1_inv = invert(concat_reduce(report.g1, report.w))
-    pts = word_values(concat_reduce(report.g2, report.w),
-                      grid.interior_points(), S)
+    pts = _values_past(concat_reduce(report.g2, report.w), report.w,
+                       report.w_grid[1:-1], grid.interior_points(), S)
     lo = 1.0 - delta
     checked = violations = 0
     for gmap, sign, x, y in orbit(h1_inv, pts, S):

@@ -2,6 +2,7 @@
 and the end-to-end run on the reference pair."""
 
 import copy
+import importlib
 import itertools
 import math
 
@@ -9,14 +10,14 @@ import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.action import GridSpec, apply_word, word_values
+from diffeolab.action import GridSpec, apply_word, c0_dist_to_id, orbit, word_values
 from diffeolab.certify import Interval
-from diffeolab.generators import build_pp, mobius
+from diffeolab.generators import SCALAR_INVERSE_MAX, build_pp, letter_deriv, mobius
 from diffeolab.zassenhaus import (FlattenParams, choose_case, find_escape_word,
                                   flatten, pigeonhole_bound)
 from diffeolab.words import EMPTY, concat_reduce, invert, word_from_text
 from diffeolab.zassenhaus.flatten import _candidate_word, _closest_same_bucket, \
-    _final_audits
+    _final_audits, _values_past
 
 PP = build_pp()
 F, G = PP.generators
@@ -239,3 +240,122 @@ def test_theta_audit_counts_match_pointwise_traces():
     assert 0 < expected < len(zone_derivs)
     assert audited.theta_audit_checked == len(zone_derivs)
     assert audited.theta_audit_violations == expected
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _zone_derivs(rep, grid):
+    """In-zone letter derivatives of the theta audit, with W applied whole."""
+    pts = word_values(concat_reduce(rep.g2, rep.w), grid.interior_points(), PP)
+    out = []
+    for gmap, sign, x, y in orbit(invert(concat_reduce(rep.g1, rep.w)), pts, PP):
+        zone = x >= 1.0 - rep.delta
+        out.extend(letter_deriv(gmap, sign, x[zone], y[zone]).tolist())
+    return out
+
+
+@pytest.mark.parametrize("grid_n", [None, SCALAR_INVERSE_MAX])
+def test_cached_w_grid_gives_the_uncached_report_bitwise(monkeypatch, grid_n):
+    # The default grid (N + 1 = 7) takes the scalar inverse; N = 32 puts the
+    # N + 1 grid points on the array route and the N - 1 interior ones on the
+    # scalar route, so W's cached values come from a different route than a
+    # fresh W on the interior would.
+    calls = []
+
+    def spy(word, w, w_xs, xs, S):
+        out = _values_past(word, w, w_xs, xs, S)
+        calls.append((word, xs.size))
+        assert _bits(out) == _bits(word_values(word, xs, S))
+        return out
+
+    monkeypatch.setattr(importlib.import_module("diffeolab.zassenhaus.flatten"),
+                        "_values_past", spy)
+    rep = flatten(F, G, CERT, 0.2, FlattenParams(0.2, grid_n=grid_n))
+    assert rep.status == "success"
+    grid = GridSpec(rep.grid_n)
+    assert (rep.grid_n + 1 > SCALAR_INVERSE_MAX) == (grid_n is not None)
+    assert _bits(rep.w_grid) == _bits(word_values(rep.w, grid.points(), PP))
+    assert _bits(rep.z) == _bits(word_values(rep.w, grid.interior_points(), PP)[0])
+
+    # One C0 check per level with a pair, then the theta audit's g2 W.
+    level_vs = [w for w, size in calls if size == rep.grid_n + 1]
+    assert [size for _, size in calls] == [rep.grid_n + 1] * len(level_vs) + [rep.grid_n - 1]
+    assert len(level_vs) == sum(row.status != "open" for row in rep.rows) >= 1
+    best, vs = math.inf, iter(level_vs)
+    for row in rep.rows:
+        if row.status != "open":
+            best = min(best, c0_dist_to_id(next(vs), grid, PP).certified_bound)
+        assert _bits(row.best_certified) == _bits(best)
+    assert level_vs[-1] == rep.v
+    assert rep.c0 == c0_dist_to_id(rep.v, grid, PP)
+
+    xs = np.linspace(0.0, 1.0, 10_001)
+    disp = np.abs(word_values(rep.v, xs, PP) - xs)
+    k = int(np.argmax(disp))
+    assert rep.nontrivial_point == (float(xs[k]), float(disp[k]))
+
+    # Theta audit counts at the run's theta_N and at one that about half of
+    # the in-zone letters trip.
+    derivs = _zone_derivs(rep, grid)
+
+    def violations(theta):
+        return sum(1 for d in derivs if not 1.0 / theta < d < theta)
+
+    assert rep.theta_audit_checked == len(derivs) > 0
+    assert rep.theta_audit_violations == violations(rep.theta_n)
+    tight = math.exp(float(np.median(np.abs(np.log(derivs)))))
+    audited = copy.copy(rep)
+    _final_audits(audited, PP, grid, rep.delta, tight)
+    assert audited.theta_audit_checked == len(derivs)
+    assert audited.theta_audit_violations == violations(tight) > 0
+
+
+@pytest.mark.parametrize("size", [7, 2 * SCALAR_INVERSE_MAX + 1])
+def test_values_past_falls_back_when_the_word_cancels_into_w(size):
+    xs = np.linspace(0.0, 1.0, size)
+    w = word_from_text("f^-1 f^-1 f^-1 g", PP)
+    w_xs = word_values(w, xs, PP)
+    junk = np.full_like(xs, np.nan)
+    # A leading letter inverse to W's first cancels into W at the junction.
+    cancelled = concat_reduce(word_from_text("g f", PP), w)
+    assert cancelled.text == "g f^-1 f^-1 g"
+    for word in (cancelled, word_from_text("f^-1 g", PP), invert(w)):
+        # The cached values are never read: NaN in their place changes nothing.
+        assert _bits(_values_past(word, w, junk, xs, PP)) == _bits(word_values(word, xs, PP))
+    # A word that keeps W whole starts from the cached values.
+    kept = concat_reduce(word_from_text("g^-1 f^-1", PP), w)
+    assert kept.letters[-len(w):] == w.letters
+    assert _bits(_values_past(kept, w, w_xs, xs, PP)) == _bits(word_values(kept, xs, PP))
+    head = word_from_text("g^-1 f^-1", PP)
+    assert _bits(_values_past(kept, w, xs, xs, PP)) == _bits(word_values(head, xs, PP))
+    assert _bits(_values_past(w, w, w_xs, xs, PP)) == _bits(w_xs)
+    assert _bits(_values_past(w, EMPTY, xs, xs, PP)) == _bits(w_xs)
+
+
+def test_flatten_applies_w_to_its_small_grid_once(monkeypatch):
+    # Every array letter goes through action.letter_value; log the ones on
+    # at most N + 1 points.
+    log = []
+    value = dl.action.letter_value
+
+    def spy(g, sign, x):
+        if np.ndim(x):
+            log.append((g.id, sign, np.array(x)))
+        return value(g, sign, x)
+
+    monkeypatch.setattr(dl.action, "letter_value", spy)
+    rep = flatten(F, G, CERT, 0.2)
+    monkeypatch.undo()
+    grid = GridSpec(rep.grid_n)
+    small = [(gid, sign, x) for gid, sign, x in log if x.size <= rep.grid_n + 1]
+    first = rep.w.letters[-1]
+    meets = [x for gid, sign, x in small if (gid, sign) == first
+             and any(np.array_equal(x, p) for p in (grid.points(), grid.interior_points()))]
+    assert len(meets) == 1 and np.array_equal(meets[0], grid.points())
+    # Two more passes of W over even the interior would cost more than this.
+    w_inverse = sum(1 for letter in rep.w.letters if letter.sign < 0)
+    assert w_inverse > len(rep.w) // 2
+    inverse_points = sum(x.size for _, sign, x in small if sign < 0)
+    assert w_inverse * (rep.grid_n + 1) <= inverse_points < 2 * w_inverse * (rep.grid_n - 1)
