@@ -193,34 +193,25 @@ def check_c1_ball(S: GeneratorSet, epsilon: float) -> None:
 
 # -- sphere orbits -------------------------------------------------------------
 
-def map_row_chunks(fn, xs: np.ndarray, outs, threads: int) -> None:
-    """Write ``fn(xs[a:b])`` into ``outs[i][a:b]`` over row blocks of ``xs``.
+def map_row_blocks(fn, rows: int, threads: int, width: int = 1) -> list:
+    """Call ``fn(a, b)`` on consecutive row blocks ``a .. b`` of ``rows`` rows
+    and return the results in block order.
 
-    ``fn`` returns one array per output.  Inputs of at least ``_PARALLEL_MIN``
-    elements are split along axis 0 into ``threads`` chunks on a thread pool,
-    and each chunk runs in blocks of about ``_PARALLEL_MIN`` elements, so no
-    temporary of ``fn`` grows with ``xs``.  Every row is computed alike in
-    any block, so results do not depend on ``threads``.
+    A block holds ``_PARALLEL_MIN // width`` rows of ``width`` elements, so
+    no temporary of ``fn`` grows with ``rows``.  With ``threads > 1`` and
+    more than one block, the blocks run on one thread pool.  Every row is
+    computed alike in any block, so results do not depend on ``threads``.
     """
-    chunks = threads if threads > 1 and xs.size >= _PARALLEL_MIN else 1
-    bounds = np.linspace(0, len(xs), chunks + 1).astype(int)
-    step = max(1, _PARALLEL_MIN // math.prod(xs.shape[1:]))
-
-    def work(k):
-        for a in range(bounds[k], bounds[k + 1], step):
-            b = min(a + step, bounds[k + 1])
-            for out, part in zip(outs, fn(xs[a:b])):
-                out[a:b] = part
-
-    if chunks == 1:
-        work(0)
-        return
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        list(pool.map(work, range(chunks)))
+    step = max(1, _PARALLEL_MIN // width)
+    blocks = [(a, min(a + step, rows)) for a in range(0, rows, step)]
+    if threads < 2 or len(blocks) < 2:
+        return [fn(a, b) for a, b in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda ab: fn(*ab), blocks))
 
 
-def _fill_level(S: GeneratorSet, lev, prev, outs, start: int, derivs: bool,
-                threads: int) -> None:
+def _fill_level(S: GeneratorSet, lev, prev, outs, start: int,
+                derivs: bool) -> None:
     """Write rows ``start .. start + len(outs[0])`` of sphere level ``lev``
     into ``outs``, reading the previous level's arrays ``prev``.
 
@@ -234,39 +225,36 @@ def _fill_level(S: GeneratorSet, lev, prev, outs, start: int, derivs: bool,
     k = len(prev) // (1 + derivs)
     for s, letter in enumerate(S.alphabet):
         g, sign = S[letter.gen], letter.sign
-
-        def step(x):
-            y = letter_value(g, sign, x)
-            np.clip(y, 0.0, 1.0, out=y)
-            return (y, letter_deriv(g, sign, x, y)) if derivs else (y,)
-
         for rows, src in lev.suffix_slices(s):
             a, b = max(rows.start, start), min(rows.stop, stop)
             if a >= b:
                 continue
             part = slice(src.start + a - rows.start, src.start + b - rows.start)
             for i in range(k):
-                out = [o[a - start:b - start] for o in outs[i::k]]
-                map_row_chunks(step, prev[i][part], out, threads)
+                x, y = prev[i][part], outs[i][a - start:b - start]
+                np.clip(letter_value(g, sign, x), 0.0, 1.0, out=y)
                 if derivs:
-                    out[1] *= prev[k + i][part]
+                    np.multiply(letter_deriv(g, sign, x, y), prev[k + i][part],
+                                out=outs[k + i][a - start:b - start])
 
 
 def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
                   threads: int = 1):
     """Propagate start points through sphere levels 1, 2, ... lazily.
 
-    For each level m it yields ``_fill_level``'s arrays of the whole level
-    (row order of ``levels[m]``): each word's value equals its
-    ``word_values`` and its derivative its ``apply_word`` ``chain_product``
-    bitwise.  Level m + 1 starts from the yielded arrays, so a caller that
-    changes them in place propagates that.
+    For each level m it yields the whole level's arrays (row order of
+    ``levels[m]``), filled by ``_fill_level`` block by block through
+    ``map_row_blocks``: each word's value equals its ``word_values`` and its
+    derivative its ``apply_word`` ``chain_product`` bitwise.  Level m + 1
+    starts from the yielded arrays, so a caller that changes them in place
+    propagates that.
     """
     prev = [np.array([float(x)]) for x in starts]
     prev += [np.ones(1) for _ in starts] if derivs else []
     for lev in levels[1:]:
         outs = [np.empty(lev.size) for _ in prev]
-        _fill_level(S, lev, prev, outs, 0, derivs, threads)
+        map_row_blocks(lambda a, b: _fill_level(
+            S, lev, prev, [o[a:b] for o in outs], a, derivs), lev.size, threads)
         prev = outs
         yield outs
 
@@ -339,19 +327,25 @@ class _MinTracker:
             self.value = float(vals[k])
             self.where = (n, offset + k)
 
+    def merge(self, other: "_MinTracker"):
+        """Fold in a tracker of later rows; ties keep the earlier row."""
+        self.zero_count += other.zero_count
+        self.min_positive = min(self.min_positive, other.min_positive)
+        if other.value < self.value:
+            self.value, self.where = other.value, other.where
+
 
 def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
                deriv_gap=True, cap: int = 4_000_000, threads: int = 1) -> ProbeReport:
     """Exact minima over every nontrivial reduced word of length <= n.
 
-    Evaluation walks sphere levels with ``_fill_level``; workers only split
-    array chunks, so results are independent of ``threads``.  Each level
-    below the outermost is kept whole only until the next is built from it.
-    The outermost is never stored: it runs through one window of
-    ``4 * threads * _PARALLEL_MIN`` rows at a time, each folded into the
-    running minima and dropped.  The fold is elementwise and sees rows in
-    order, so the minima, first-occurrence argmins and counts do not depend
-    on the window.
+    Every level runs through ``map_row_blocks``: each row block is filled by
+    ``_fill_level`` and folded into minima of its own, which the caller
+    merges in block order, so the minima, first-occurrence argmins and
+    counts do not depend on ``threads`` or the block size.  Each level below
+    the outermost is kept whole only until the next is built from it.  The
+    outermost is never stored: each block fills arrays of its own and drops
+    them once folded.
     """
     if not (displacement or deriv_gap):
         raise PreconditionError("ball probe needs displacement or deriv_gap")
@@ -366,28 +360,25 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
     top = len(levels) - 1
     prev = [np.array([float(x0)])] + ([np.ones(1)] if deriv_gap else [])
     disp_t, gap_t = _MinTracker(), _MinTracker()
-    buf = np.empty(_PARALLEL_MIN)
     rows = []
-
-    def track(tracker, arr, target, m, offset):
-        # |arr - target| one block at a time, through the one buffer.
-        for a in range(0, arr.size, _PARALLEL_MIN):
-            part = arr[a:a + _PARALLEL_MIN]
-            gap = np.subtract(part, target, out=buf[:part.size])
-            tracker.update(np.abs(gap, out=gap), m, offset + a)
-
     for m in range(1, top + 1):
-        size = levels[m].size
-        # Four kernel blocks per thread: each block starts one thread pool.
-        window = size if m < top else min(4 * threads * _PARALLEL_MIN, size)
-        outs = [np.empty(window) for _ in prev]
-        for a in range(0, size, window):
-            part = [o[:min(window, size - a)] for o in outs]
-            _fill_level(S, levels[m], prev, part, a, deriv_gap, threads)
+        lev = levels[m]
+        outs = [np.empty(lev.size) for _ in prev] if m < top else None
+
+        def block(a, b):
+            part = ([np.empty(b - a) for _ in prev] if outs is None
+                    else [o[a:b] for o in outs])
+            _fill_level(S, lev, prev, part, a, deriv_gap)
+            found = _MinTracker(), _MinTracker()
             if displacement:
-                track(disp_t, part[0], x0, m, a)
+                found[0].update(np.abs(part[0] - x0), m, a)
             if deriv_gap:
-                track(gap_t, part[1], 1.0, m, a)
+                found[1].update(np.abs(part[1] - 1.0), m, a)
+            return found
+
+        for d, g in map_row_blocks(block, lev.size, threads):
+            disp_t.merge(d)
+            gap_t.merge(g)
         prev = outs
         rows.append((m, disp_t.value if displacement else None,
                      gap_t.value if deriv_gap else None))

@@ -89,25 +89,14 @@ def word_from_text(text: str, S: GeneratorSet | None = None) -> Word:
 
 # -- enumeration ---------------------------------------------------------------
 
-def enumerate_sphere(S: GeneratorSet, n: int, prefix: Word | None = None):
+def enumerate_sphere(S: GeneratorSet, n: int):
     """Yield every freely reduced word of length n exactly once, in canonical
-    lexicographic order.  ``prefix`` restricts the stream to one fixed-prefix
-    block, which makes the stream restartable and chunkable.
-    """
+    lexicographic order."""
     if n < 0:
         raise DomainError("sphere radius must be nonnegative")
-    base = (prefix or EMPTY).letters
-    if len(base) > n:
-        return
-    if prefix is not None and reduce_letters(base).letters != base:
-        raise DomainError("prefix must be reduced")
-    m = n - len(base)
-    levels = sphere_levels(S, m)
-    cancel = base[-1].inverse() if base else None
-    for idx in range(levels[m].size):
-        letters = level_word(levels, m, idx, S).letters
-        if not letters or letters[0] != cancel:
-            yield Word(base + letters)
+    levels = sphere_levels(S, n)
+    for idx in range(levels[n].size):
+        yield level_word(levels, n, idx, S)
 
 
 def enumerate_positive(pair: tuple[str, str], max_len: int):

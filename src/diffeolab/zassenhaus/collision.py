@@ -134,19 +134,24 @@ class CollisionReport:
 
 def _bucket_pair(vals, logds, width_v, width_d, nf_of_idx):
     """Earliest same-(value, derivative)-bucket pair, preferring distinct
-    normal forms under ``nf_of_idx`` (index -> form); returns
-    (i1, i2, certified) or None.  Buckets go in key order, rows of one
-    bucket in index order, the first row being the anchor."""
+    normal forms under ``nf_of_idx`` (index -> form), with the number of
+    value buckets and the largest one's size: returns
+    ((i1, i2, certified) or None, value_buckets, max_bucket).  Buckets go in
+    key order, rows of one bucket in index order, the first row being the
+    anchor."""
     j = np.floor(vals / width_v)
     sub = np.floor(logds / width_d)
     order = np.lexsort((sub, j))
     jj, ss = j[order], sub[order]
-    cut = np.flatnonzero((jj[1:] != jj[:-1]) | (ss[1:] != ss[:-1])) + 1
+    new_value = jj[1:] != jj[:-1]
+    value_sizes = np.diff(np.r_[0, np.flatnonzero(new_value) + 1, len(order)])
+    cut = np.flatnonzero(new_value | (ss[1:] != ss[:-1])) + 1
     starts, ends = np.r_[0, cut], np.r_[cut, len(order)]
     multi = ends - starts > 1
     groups = ((order[a], order[a + 1:b])
               for a, b in zip(starts[multi], ends[multi]))
-    return pick_pair(groups, nf_of_idx)
+    return (pick_pair(groups, nf_of_idx), len(value_sizes),
+            int(np.max(value_sizes)))
 
 
 def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
@@ -181,18 +186,17 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
         lev = levels[m]
         vals, ders = next(orbits)
         logds = np.log(ders)  # a new array: the next level reads ``ders``
-        width_v = params.lam ** float(-m)
-        _, counts = np.unique(np.floor(vals / width_v), return_counts=True)
-        pair = _bucket_pair(vals, logds, width_v, width_d,
-                            nf and (lambda i: nf(level_word(levels, m, i, S))))
+        pair, buckets, biggest = _bucket_pair(
+            vals, logds, params.lam ** float(-m), width_d,
+            nf and (lambda i: nf(level_word(levels, m, i, S))))
         accepted = False
         if pair is not None:
             i1, i2, certified = pair
             accepted = _verify_pair(report, S, levels, m, i1, i2, vals,
                                     certified, big_m)
         report.rows.append(CollisionRow(
-            n=m, sphere_words=lev.size, value_buckets=len(counts),
-            max_bucket=int(np.max(counts)), pair_found=accepted))
+            n=m, sphere_words=lev.size, value_buckets=buckets,
+            max_bucket=biggest, pair_found=accepted))
         if accepted:
             report.status = "found"
             break

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..action import (GridSpec, SupEstimate, apply_word, map_row_chunks,
+from ..action import (GridSpec, SupEstimate, apply_word, map_row_blocks,
                       orbit, word_values)
 from ..certify import Interval, PingPongCertificate, scan_endpoint_delta
 from ..errors import CapExhausted, DomainError, PreconditionError
@@ -256,6 +256,8 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     params = params or FlattenParams(epsilon)
+    if params.epsilon != epsilon:
+        raise PreconditionError("epsilon differs from params.epsilon")
     S = GeneratorSet([f, g])
     N = params.grid_n or (math.ceil(1.0 / epsilon) + 1)
     if not 1.0 / N < epsilon:
@@ -304,9 +306,12 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
             break
         prev = all_rows[len(all_rows) // 2 - 1:] if n > 1 else base_mat
         new = np.empty((2 * len(prev), prev.shape[1]))
-        map_row_chunks(lambda rows: (word_values(alpha, rows, S),
-                                     word_values(beta, rows, S)),
-                       prev, [new[:len(prev)], new[len(prev):]], threads)
+
+        def grow(a, b):
+            new[a:b] = word_values(alpha, prev[a:b], S)
+            new[len(prev) + a:len(prev) + b] = word_values(beta, prev[a:b], S)
+
+        map_row_blocks(grow, len(prev), threads, prev.shape[1])
         report.candidates_total += len(new)
         all_rows = np.vstack([all_rows, new])
 

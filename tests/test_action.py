@@ -9,7 +9,7 @@ import pytest
 
 import diffeolab as dl
 from diffeolab.action import _PARALLEL_MIN, CLAMP_TOL, GridSpec, _fill_level, \
-    _MinTracker, apply_word, c0_dist_to_id, c1_dist_to_id, map_row_chunks, orbit, probe_ball, \
+    _MinTracker, apply_word, c0_dist_to_id, c1_dist_to_id, map_row_blocks, orbit, probe_ball, \
     sphere_orbits, word_deriv_bounds, word_values, word_values_derivs
 from diffeolab.generators import Letter, build_pp, mobius, polybump
 from diffeolab.words import EMPTY, Word, enumerate_sphere, level_word, reduce_letters, \
@@ -269,12 +269,15 @@ def test_min_tracker_blocks_equal_whole_array():
         [0.0, 0.0, 0.0, 0.0, 0.0],                       # nothing positive
     ]
     for vals in map(np.array, cases):
-        whole, blocks = _MinTracker(), _MinTracker()
+        whole, blocks, merged = _MinTracker(), _MinTracker(), _MinTracker()
         for m in (1, 2):  # a second level never moves an equal minimum
             whole.update(vals, m)
             for a in range(0, vals.size, block):
                 blocks.update(vals[a:a + block], m, a)
-        assert vars(blocks) == vars(whole)
+                part = _MinTracker()  # one block's own tracker, merged in order
+                part.update(vals[a:a + block], m, a)
+                merged.merge(part)
+        assert vars(blocks) == vars(whole) == vars(merged)
         k = int(np.argmin(vals))
         assert whole.where == (1, k) and whole.value == vals[k]
         assert whole.zero_count == 2 * np.count_nonzero(vals <= dl.action.ZERO_TOL)
@@ -400,7 +403,7 @@ def test_fill_level_windows_equal_the_whole_level(S):
             outs = [np.full(lev.size, np.nan) for _ in prev]
             for a in range(0, lev.size, window):
                 _fill_level(S, lev, prev, [o[a:a + window] for o in outs], a,
-                            True, 1)
+                            True)
                 for kind, cuts in (("letter", letters), ("slice", slices)):
                     if any(a < c < a + window for c in cuts):
                         straddled[window].add(kind)
@@ -425,16 +428,26 @@ def test_sphere_orbits_clip_values_as_orbit_does(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_map_row_chunks_thread_invariant(threads):
+def test_map_row_blocks_thread_invariant(threads):
     g = PP["g"]
     xs = RNG.uniform(0.0, 1.0, _PARALLEL_MIN + 7)
     outs = [np.empty_like(xs), np.empty_like(xs)]
-    map_row_chunks(lambda x: (g.inverse(x), g.deriv(x)), xs, outs, threads)
+
+    def kernels(a, b):
+        outs[0][a:b], outs[1][a:b] = g.inverse(xs[a:b]), g.deriv(xs[a:b])
+        return a, b
+
+    assert map_row_blocks(kernels, len(xs), threads) == \
+        [(0, _PARALLEL_MIN), (_PARALLEL_MIN, _PARALLEL_MIN + 7)]
     assert np.array_equal(outs[0], g.inverse(xs))
     assert np.array_equal(outs[1], g.deriv(xs))
     # Flatten's candidate rows: 2-D, split along axis 0.
     w = random_word(PP, 6, np.random.default_rng(5))
     rows = RNG.uniform(0.0, 1.0, (_PARALLEL_MIN // 8 + 3, 9))
     out = np.empty_like(rows)
-    map_row_chunks(lambda r: (word_values(w, r, PP),), rows, [out], threads)
+
+    def grow(a, b):
+        out[a:b] = word_values(w, rows[a:b], PP)
+
+    map_row_blocks(grow, len(rows), threads, rows.shape[1])
     assert np.array_equal(out, word_values(w, rows, PP))

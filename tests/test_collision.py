@@ -125,8 +125,10 @@ def test_buckets_follow_chain_rule(pair):
 def test_bucket_keys_past_int64_stay_distinct():
     # floor(x / width) is about 4e20 here, past 2^63: the three values keep
     # three buckets instead of sharing one overflowed integer key.
-    assert _bucket_pair(np.array([0.41, 0.42, 0.43]), np.zeros(3), 1e-21,
-                        math.log1p(0.01), None) is None
+    pair, buckets, biggest = _bucket_pair(np.array([0.41, 0.42, 0.43]),
+                                          np.zeros(3), 1e-21, math.log1p(0.01), None)
+    assert pair is None
+    assert (buckets, biggest) == (3, 1)
 
 
 def test_ball_precondition():

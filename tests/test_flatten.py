@@ -183,6 +183,12 @@ def test_flatten_invalid_certificate_rejected():
         flatten(F, f2, bad, 0.5)
 
 
+def test_flatten_epsilon_must_match_params():
+    # The run reads epsilon from two places; they may not disagree.
+    with pytest.raises(dl.PreconditionError, match="params.epsilon"):
+        flatten(F, G, CERT, 0.1, FlattenParams(0.2))
+
+
 def test_flatten_reference_run():
     rep = flatten(F, G, CERT, 0.5)
     assert rep.status == "success"

@@ -1,16 +1,21 @@
-"""Every module under ``src/`` uses each name it imports.
+"""Every module under ``src/`` uses each name it imports, and every helper
+under ``src/`` is read somewhere.
 
 The repository has no linter, so this parses each module with ``ast`` and
-compares the names its imports bind with the names its code reads.
+compares the names its imports bind with the names its code reads, and the
+functions, classes and private methods it defines with the names all of
+``src/`` reads or imports.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +40,53 @@ def test_unused_imports_finds_a_dead_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def read_names(root: ast.AST) -> Counter:
+    """Names and attributes read under ``root``, and names imported from a
+    module (how the package exports its API)."""
+    names = Counter()
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes, and private methods, whose name
+    nothing in ``sources`` reads or imports outside their own definition."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    defs = []
+    for label, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                defs.append((f"{label}:{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{label}:{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, DEFS) and m.name.startswith("_")
+                         and not m.name.endswith("__")]
+    reads = sum(map(read_names, trees.values()), Counter())
+    return sorted(where for where, node in defs
+                  if reads[node.name] == read_names(node)[node.name])
+
+
+def test_dead_helpers_finds_unread_definitions():
+    sources = {
+        "a": ("def _used():\n    return 1\n\ndef _dead(n):\n"
+              "    return _dead(n - 1)\n\ndef api():\n    return 2\n\n"
+              "def leftover():\n    return 3\n\nclass _Box:\n"
+              "    def _peek(self):\n        return self._get()\n"
+              "    def _get(self):\n        return 0\n"
+              "    def __len__(self):\n        return 0\n"),
+        "b": "from a import _used, _Box, api\nprint(_used(), _Box)\n",
+    }
+    assert dead_helpers(sources) == ["a:_Box._peek", "a:_dead", "a:leftover"]
+
+
+def test_every_helper_is_read():
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    assert dead_helpers(sources) == []

@@ -163,15 +163,6 @@ def test_sphere_levels_allocate_no_per_word_arrays():
     assert peak < 1 << 20
 
 
-def test_prefix_blocks_partition_sphere():
-    n = 4
-    whole = list(enumerate_sphere(S, n))
-    chunks = []
-    for p in enumerate_sphere(S, 2):
-        chunks.extend(enumerate_sphere(S, n, prefix=p))
-    assert [w.letters for w in chunks] == [w.letters for w in whole]
-
-
 def test_enumeration_deterministic():
     a = [w.text for w in enumerate_sphere(S, 6)]
     b = [w.text for w in enumerate_sphere(S, 6)]
