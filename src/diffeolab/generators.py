@@ -24,7 +24,9 @@ Maps are immutable after construction and all evaluations are pure.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
@@ -97,6 +99,12 @@ class _SplineData:
     ms: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
+    #: The sorted route's leaf subtrees (``_leaf_subtrees``), least recently
+    #: used first, and the lock that guards them across pool threads.
+    subtrees: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                  repr=False, compare=False)
+    lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                 repr=False, compare=False)
 
     @cached_property
     def floats(self) -> tuple:
@@ -495,40 +503,67 @@ def _subtree_brackets(d: _SplineData, y, leaf):
     Used when ``leaf`` does not decrease and its distinct leaves need no
     more subtree keys than the live steps would evaluate cubics (and at most
     ``levels * INVERSE_BLOCK``).  Each touched leaf gets the remaining
-    levels of its bisection tree, keyed by ``_bisection_keys`` and led by
-    the leaf's own key.  Every y lies above its leaf's key and at or below
-    the next leaf's, so while the concatenated keys do not decrease, one
-    ``searchsorted`` walks each point down its own subtree, exactly as the
-    live steps would.  Keys are made and searched for ``INVERSE_BLOCK`` of
-    them at a time, whose points are one slice of the block.  None sends
-    the block to the live steps.
+    levels of its bisection tree (``_leaf_subtrees``).  Every y lies above
+    its leaf's key and at or below the next leaf's, so while the
+    concatenated keys do not decrease, one ``searchsorted`` walks each point
+    down its own subtree, exactly as the live steps would.  Keys are joined
+    and searched for ``INVERSE_BLOCK`` of them at a time, whose points are
+    one slice of the block.  None sends the block to the live steps.
     """
-    depth, keys, bounds = d.tree
-    levels = BISECT_STEPS - depth
+    levels = BISECT_STEPS - d.tree[0]
     if np.any(leaf[1:] < leaf[:-1]):
         return None
     ends = np.flatnonzero(leaf[:-1] != leaf[1:])  # of every leaf's run but the last
     if (ends.size + 1) << levels > levels * min(y.size, INVERSE_BLOCK):
         return None
-    touched = np.append(leaf[ends], leaf[-1])
+    subtrees = _leaf_subtrees(d, [*leaf[ends].tolist(), int(leaf[-1])], levels)
     firsts = [0, *(ends + 1).tolist(), y.size]  # each touched leaf's first point
-    sub_bounds = _bisection_bounds(bounds[touched], bounds[touched + 1], levels)
     lo, hi = np.empty_like(y), np.empty_like(y)
     rows = max(1, INVERSE_BLOCK >> levels)
-    for r in range(0, touched.size, rows):
-        part, a, b = slice(r, r + rows), firsts[r], firsts[min(r + rows, touched.size)]
-        sub_keys = _bisection_keys(d, touched[part] >> depth, sub_bounds[part],
-                                   keys[touched[part]]).reshape(-1)
+    for r in range(0, len(subtrees), rows):
+        part, a, b = subtrees[r:r + rows], firsts[r], firsts[min(r + rows, len(subtrees))]
+        sub_keys = np.concatenate([keys for keys, _ in part])
         if np.any(sub_keys[1:] < sub_keys[:-1]):
             return None
         j = np.searchsorted(sub_keys, y[a:b], side="left")
         j -= 1
-        j += j >> levels  # a row of sub_bounds is one entry longer
-        part_bounds = sub_bounds[part].reshape(-1)
+        j += j >> levels  # a row of bounds is one entry longer
+        part_bounds = np.concatenate([bounds for _, bounds in part])
         np.take(part_bounds, j, out=lo[a:b], mode="clip")
         j += 1
         np.take(part_bounds, j, out=hi[a:b], mode="clip")
     return lo, hi
+
+
+def _leaf_subtrees(d: _SplineData, touched: list, levels: int) -> list:
+    """The (keys, bounds) of each touched leaf's remaining ``levels`` levels.
+
+    ``bounds`` is the leaf's row of ``_bisection_bounds`` and ``keys`` its
+    row of ``_bisection_keys``, led by the leaf's own key.  ``d.subtrees``
+    keeps the most one block may touch, ``(levels * INVERSE_BLOCK) >>
+    levels``, and evicts the least recently used first; leaves it lacks are
+    built in one batch and stored as arrays of their own, so that eviction
+    frees them.  Entries are never changed, so a thread keeps its own even
+    after another evicts them, and two threads building one leaf is harmless.
+    """
+    store = d.subtrees
+    with d.lock:
+        found = [store.get(k) for k in touched]
+        for k, subtree in zip(touched, found):
+            if subtree is not None:
+                store.move_to_end(k)
+    missing = [n for n, subtree in enumerate(found) if subtree is None]
+    if missing:
+        depth, keys, bounds = d.tree
+        m = np.array([touched[n] for n in missing])
+        sub_bounds = _bisection_bounds(bounds[m], bounds[m + 1], levels)
+        sub_keys = _bisection_keys(d, m >> depth, sub_bounds, keys[m])
+        with d.lock:
+            for n, k, b in zip(missing, sub_keys, sub_bounds):
+                found[n] = store[touched[n]] = (k.copy(), b.copy())
+            while len(store) > (levels * INVERSE_BLOCK) >> levels:
+                store.popitem(last=False)
+    return found
 
 
 def _patch_at_knot(x, x1, right, *pairs):

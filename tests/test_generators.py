@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import threading
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +512,102 @@ def test_sorted_route_fails_closed_on_nan(route_log):
     assert route_log == [True, False]
 
 
+# -- the store of leaf subtrees: built once per spline, bounded, shared by threads
+
+def store_bound(d):
+    levels = BISECT_STEPS - d.tree[0]
+    return (levels * INVERSE_BLOCK) >> levels
+
+
+def other_leaf_blocks(d, avoid, blocks):
+    """``blocks`` sorted blocks of ``store_bound(d)`` leaves each, none in avoid.
+
+    Every leaf gets just enough points for its block to take the route.
+    """
+    depth, keys, _ = d.tree
+    levels = BISECT_STEPS - depth
+    k = np.flatnonzero(np.isfinite(keys[1:]) & (keys[1:] > keys[:-1]))
+    k = k[~np.isin(k, list(avoid))][:blocks * store_bound(d)]
+    # keys[k + 1] lies above leaf k's key and at its right end.
+    return [np.repeat(keys[part + 1], -(-(1 << levels) // levels))
+            for part in np.split(k, blocks)]
+
+
+@pytest.mark.parametrize("name, d", route_splines(), ids=lambda v: v if isinstance(v, str) else "")
+def test_stored_subtrees_give_the_whole_spline_solve(name, d, route_log):
+    # Cold, warm, and after every leaf of the blocks was evicted.
+    blocks = sorted_blocks(d)
+    refs = [bits(whole_spline_inverse(d, y)) for y in blocks]
+    keys = d.tree[1]
+    touched = {k for y in blocks for k in (np.searchsorted(keys, y) - 1).tolist()}
+    d.subtrees.clear()
+    for state in ("cold", "warm", "evicted"):
+        if state == "evicted":
+            for y in other_leaf_blocks(d, touched, 2):
+                _spline_inverse(d, y)
+            assert touched.isdisjoint(d.subtrees)
+        route_log.clear()
+        for y, ref in zip(blocks, refs):
+            assert np.array_equal(bits(_spline_inverse(d, y)), ref), state
+        # As in the route test, the right-knot spline's fourth block is not sorted.
+        assert route_log == [name != "right_knot" or n != 3 for n in range(len(blocks))]
+        assert 0 < len(d.subtrees) <= store_bound(d)
+
+
+def test_store_never_grows_past_its_bound(route_log):
+    d = build_pp()["f"]._spline
+    assert store_bound(d) == 80
+    for y in other_leaf_blocks(d, (), 4):
+        assert np.array_equal(bits(_spline_inverse(d, y)), bits(whole_spline_inverse(d, y)))
+        assert len(d.subtrees) == 80
+    assert route_log == [True] * 4
+    # Each subtree owns its arrays, so evicting it frees them: a view would
+    # keep its whole batch alive.
+    assert all(a.base is None for subtree in d.subtrees.values() for a in subtree)
+
+
+def test_threads_share_one_store(monkeypatch):
+    # Three pool threads invert sorted blocks of 80 leaves each on one
+    # spline, then the same blocks again in reverse order, and give the
+    # one-thread bits.
+    d = build_pp()["f"]._spline
+    blocks = other_leaf_blocks(d, (), 12)
+    one = [bits(_spline_inverse(dataclasses.replace(d), y)) for y in blocks]
+    y = np.concatenate(blocks + blocks[::-1])
+    monkeypatch.setattr(dl.action, "_PARALLEL_MIN", blocks[0].size)
+    parts = dl.action.map_row_blocks(lambda a, b: _spline_inverse(d, y[a:b]), y.size, 3)
+    assert len(parts) == 24 and len(d.subtrees) <= 80
+    for got, ref in zip(parts, one + one[::-1]):
+        assert np.array_equal(bits(got), ref)
+
+
+def test_an_eviction_between_lookup_and_move_is_harmless():
+    # The race on purpose: when a block finds its leaves stored, a second
+    # thread inverts 80 other leaves, which evicts them all, and gets up to
+    # a second to finish before the first thread moves its leaves to the
+    # back.  Unguarded, that move raises KeyError; both blocks keep their bits.
+    d = dataclasses.replace(build_pp()["f"]._spline)
+    mine, other = other_leaf_blocks(d, (), 2)
+    refs = [bits(_spline_inverse(dataclasses.replace(d), y)) for y in (mine, other)]
+    rival = []
+
+    class RacingStore(OrderedDict):
+        def move_to_end(self, key, last=True):
+            if not rival:
+                rival.append(threading.Thread(
+                    target=lambda: rival.append(_spline_inverse(d, other))))
+                rival[0].start()
+                rival[0].join(1.0)
+            super().move_to_end(key, last)
+
+    object.__setattr__(d, "subtrees", RacingStore())
+    _spline_inverse(d, mine)
+    got = _spline_inverse(d, mine)
+    rival[0].join()
+    assert np.array_equal(bits(got), refs[0]) and np.array_equal(bits(rival[1]), refs[1])
+    assert set(d.subtrees) == set((np.searchsorted(d.tree[1], other) - 1).tolist())
+
+
 @pytest.mark.parametrize("n", [33, 2 * INVERSE_BLOCK - 1, 2 * INVERSE_BLOCK, 5 * INVERSE_BLOCK + 7])
 def test_inverse_blocks_stay_below_twice_the_block_size(monkeypatch, n):
     sizes = []
@@ -530,13 +628,30 @@ def test_inverse_blocks_stay_below_twice_the_block_size(monkeypatch, n):
 def test_flatten_scan_blocks_take_the_sorted_route(monkeypatch, tmp_path, route_log):
     # The nontrivial_point scan applies the witness v of flatten_pp_eps01.ini
     # to 10,001 sorted points, one block per letter: 199 of its 216 inverse
-    # blocks take the route (92 %).
+    # blocks take the route (92 %).  Its points crowd into a few leaves, so
+    # the run builds 105 leaf subtrees (2,787 when every block built its
+    # own), and no store ever holds more than its bound.
     from diffeolab import cli
     from diffeolab.action import word_values
-    reports = []
+    reports, builds = [], []
     monkeypatch.setattr(cli.reports, "emit_flatten", lambda rep, out: reports.append(rep) or [])
+    build, stored = generators._bisection_bounds, generators._leaf_subtrees
+
+    def count_leaves(lo, hi, levels):
+        if levels < TREE_DEPTH:  # not a spline's own tree
+            builds.append(len(lo))
+        return build(lo, hi, levels)
+
+    def check_bound(d, *args):
+        subtrees = stored(d, *args)
+        assert len(d.subtrees) <= store_bound(d)
+        return subtrees
+
+    monkeypatch.setattr(generators, "_bisection_bounds", count_leaves)
+    monkeypatch.setattr(generators, "_leaf_subtrees", check_bound)
     config = Path(__file__).parent.parent / "configs" / "flatten_pp_eps01.ini"
     assert cli.main(["flatten", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert sum(builds) <= 110
     v = reports[0].v
     route_log.clear()
     word_values(v, np.linspace(0.0, 1.0, 10_001), build_pp())
