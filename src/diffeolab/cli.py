@@ -163,12 +163,10 @@ def _certify_cmd(cfg: ExperimentConfig, out_dir: str):
     if cert.valid and ival(p, "separation_pairs", 0) > 0:
         rng = np.random.default_rng(ival(p, "seed", 0))
         pool = list(enumerate_positive((f.id, g.id), ival(p, "separation_len", 8)))
-        sep = float("inf")
-        for _ in range(ival(p, "separation_pairs", 0)):
-            w1, w2 = rng.choice(len(pool), size=2, replace=False)
-            sep = min(sep, positive_pair_separation(S, pool[int(w1)],
-                                                    pool[int(w2)], I, J))
-        separation = sep
+        picks = (rng.choice(len(pool), size=2, replace=False)
+                 for _ in range(ival(p, "separation_pairs", 0)))
+        separation = min(positive_pair_separation(S, pool[int(a)], pool[int(b)],
+                                                  I, J) for a, b in picks)
     paths = reports.emit_certify(cert, slope, separation, out_dir)
     ok = cert.valid and (slope is None or slope.passed)
     return (STATUS_OK if ok else STATUS_EXHAUSTED, paths,

@@ -134,25 +134,22 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def fval(params: dict, key: str, default=None) -> float:
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"missing required parameter {key!r}")
-        return default
-    try:
-        return float(params[key])
-    except ValueError:
-        raise ConfigError(f"parameter {key!r} is not a number") from None
+    return _number(params, key, default, float, "a number")
 
 
 def ival(params: dict, key: str, default=None) -> int:
+    return _number(params, key, default, int, "an integer")
+
+
+def _number(params: dict, key: str, default, kind, what: str):
     if key not in params:
         if default is None:
             raise ConfigError(f"missing required parameter {key!r}")
         return default
     try:
-        return int(params[key])
+        return kind(params[key])
     except ValueError:
-        raise ConfigError(f"parameter {key!r} is not an integer") from None
+        raise ConfigError(f"parameter {key!r} is not {what}") from None
 
 
 def pair_val(params: dict, key: str, default: str) -> tuple[float, float]:

@@ -47,16 +47,11 @@ EMPTY = Word()
 
 def reduce_letters(seq, S: GeneratorSet | None = None) -> Word:
     """Freely reduce a letter sequence; the unique normal form of the word."""
-    stack: list[Letter] = []
-    for raw in seq:
-        letter = Letter(*raw)
+    letters = tuple(Letter(*raw) for raw in seq)
+    for letter in letters:
         if S is not None and letter.gen not in S:
             raise DomainError(f"unknown generator id {letter.gen!r}")
-        if stack and stack[-1].gen == letter.gen and stack[-1].sign == -letter.sign:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return Word(tuple(stack))
+    return concat_reduce(EMPTY, Word(letters))
 
 
 def invert(w: Word) -> Word:

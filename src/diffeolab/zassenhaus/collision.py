@@ -22,7 +22,7 @@ from ..action import apply_word, check_c1_ball, sphere_orbits
 from ..errors import PreconditionError
 from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
-from .pairs import budget_spent, pick_pair
+from .pairs import budget_spent, pick_pair, sorted_runs
 
 
 def _bracket_n1(eta: float, c1: float, cap: int = 10_000_000) -> int | None:
@@ -140,12 +140,9 @@ def _bucket_pair(vals, logds, width_v, width_d, nf_of_idx):
     key order, rows of one bucket in index order, the first row being the
     anchor."""
     j = np.floor(vals / width_v)
-    sub = np.floor(logds / width_d)
-    order = np.lexsort((sub, j))
-    jj, ss = j[order], sub[order]
-    new_value = jj[1:] != jj[:-1]
-    value_sizes = np.diff(np.r_[0, np.flatnonzero(new_value) + 1, len(order)])
-    cut = np.flatnonzero(new_value | (ss[1:] != ss[:-1])) + 1
+    order, same = sorted_runs((j, np.floor(logds / width_d)))
+    _, value_sizes = np.unique(j, return_counts=True)
+    cut = np.flatnonzero(~same) + 1
     starts, ends = np.r_[0, cut], np.r_[cut, len(order)]
     multi = ends - starts > 1
     groups = ((order[a], order[a + 1:b])

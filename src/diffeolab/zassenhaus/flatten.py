@@ -12,10 +12,12 @@ Stages, in order:
 4. Case analysis at z = W(x_1) yields words alpha, beta whose positive words
    never pull z0 back below z0, so the whole candidate family
    h = (U beta alpha) W maps every grid point into [z0, 1].
-5. Enumerate candidates level by level (|U| = 1, 2, ...), bucket the value
-   vectors (h(x_1), ..., h(x_{N-1})) at width base^-n, pull back the closest
-   same-bucket pair and accept once the certified sup displacement of
-   V = h1^-1 h2 drops below 2 epsilon.
+5. Enumerate candidates level by level (|U| = 1, 2, ...) into one store,
+   bucket the value vectors (h(x_1), ..., h(x_{N-1})) at width base^-n and
+   sort them by bucket key, ties by the raw value h(x_1).  Pull back the
+   closest pair of rows adjacent in that order and in one bucket (not the
+   closest pair of a bucket), and accept once the certified sup
+   displacement of V = h1^-1 h2 drops below 2 epsilon.
 
 The candidate search set is P_n = {U beta alpha : 1 <= |U| <= n}, so level n
 holds exactly 2^(n+1) - 2 candidates; reports record this convention, the
@@ -26,6 +28,7 @@ estimate would demand.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -39,7 +42,7 @@ from ..errors import CapExhausted, DomainError, PreconditionError
 from ..generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv,
                           letter_value)
 from ..words import EMPTY, Word, concat_reduce, invert
-from .pairs import budget_spent
+from .pairs import budget_spent, sorted_runs
 
 AUDIT_TOL = 1e-12
 
@@ -125,13 +128,11 @@ def find_escape_word(S: GeneratorSet, start: float, zone: Interval,
     # nodes[i] = (letter index applied to reach node i, parent node)
     nodes = [(-1, -1)]
     points = [start]
-    heap = [(dist(start), 0, 0)]
+    heap = [(dist(start), 0)]
     seen = {start}
-    best = (dist(start), 0)
-    counter = 0
     expansions = 0
     while heap:
-        d, _, node = heapq.heappop(heap)
+        d, node = heapq.heappop(heap)
         if expansions >= cap:
             break
         expansions += 1
@@ -146,7 +147,6 @@ def find_escape_word(S: GeneratorSet, start: float, zone: Interval,
             seen.add(q)
             nodes.append((j, node))
             points.append(q)
-            counter += 1
             dq = dist(q)
             if dq == 0.0:
                 out = []
@@ -155,11 +155,9 @@ def find_escape_word(S: GeneratorSet, start: float, zone: Interval,
                     out.append(letters[nodes[k][0]])
                     k = nodes[k][1]
                 return Word(tuple(out))
-            if dq < best[0]:
-                best = (dq, len(nodes) - 1)
-            heapq.heappush(heap, (dq, counter, len(nodes) - 1))
+            heapq.heappush(heap, (dq, len(nodes) - 1))
     raise CapExhausted("escape search cap exhausted",
-                       best=points[best[1]])
+                       best=min(points, key=dist))
 
 
 @dataclass(frozen=True)
@@ -263,6 +261,13 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     if not 1.0 / N < epsilon:
         raise PreconditionError("grid too coarse: need 1/N < epsilon")
     theta_n = 0.5 * (1.0 + 2.0 ** (1.0 / (2 * N)))
+    # Level n runs if n <= n_max and, past level 1, 2^(n+1) - 2 <= cap.
+    n_last = max(0, min(params.n_max,
+                        (max(params.candidate_cap, 2) + 2).bit_length() - 2))
+    bucket_base = params.bucket_base or 2.0 ** (1.0 / (2 * N))
+    if not (bucket_base > 1.0
+            and bucket_base ** float(-n_last) >= np.finfo(float).tiny):
+        raise PreconditionError("bucket_base must exceed 1 with normal widths")
     delta = scan_endpoint_delta(S, side=1, theta=theta_n)
     spent = budget_spent(params.time_budget_s)
 
@@ -282,8 +287,6 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     base = word_values(concat_reduce(beta, alpha),
                        np.concatenate([y, [z0, z]]), S)
     n_grid = len(y)
-    base_mat = base.reshape(1, -1)
-    bucket_base = params.bucket_base or 2.0 ** (1.0 / (2 * N))
 
     report = FlattenReport(
         status="cap_exhausted", epsilon=epsilon, grid_n=N, theta_n=theta_n,
@@ -292,43 +295,30 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
         notes=("candidates enumerate P_n = {U beta alpha : 1 <= |U| <= n}",
                "theoretical level uses the doubled derivative-sum constant"),
     )
-    try:
+    with contextlib.suppress(CapExhausted):     # then it stays None
         report.theoretical_n = pigeonhole_bound(S.m_double, len(W), theta_n,
                                                 N, epsilon)
-    except CapExhausted:
-        report.theoretical_n = None
 
-    all_rows = base_mat[:0]              # level n is the last 2^n rows
-    lemma1_min = math.inf
-    for n in range(1, params.n_max + 1):
+    store = np.empty((2 ** (n_last + 1) - 2, len(base)))
+    prev = base.reshape(1, -1)
+    for n in range(1, n_last + 1):
         if spent():
             report.status = "time_budget"
             break
-        prev = all_rows[len(all_rows) // 2 - 1:] if n > 1 else base_mat
-        new = np.empty((2 * len(prev), prev.shape[1]))
+        lo, mid, hi = 2 ** n - 2, 2 ** n - 2 + len(prev), 2 ** (n + 1) - 2
 
         def grow(a, b):
-            new[a:b] = word_values(alpha, prev[a:b], S)
-            new[len(prev) + a:len(prev) + b] = word_values(beta, prev[a:b], S)
+            store[lo + a:lo + b] = word_values(alpha, prev[a:b], S)
+            store[mid + a:mid + b] = word_values(beta, prev[a:b], S)
 
         map_row_blocks(grow, len(prev), threads, prev.shape[1])
-        report.candidates_total += len(new)
-        all_rows = np.vstack([all_rows, new])
-
-        # Candidate audits: value at z0 (never below z0) and at z.
-        lemma1_min = min(lemma1_min, float(np.min(new[:, n_grid] - z0)))
-        report.lemma1_violations += int(np.count_nonzero(
-            new[:, n_grid] < z0 - AUDIT_TOL))
-        report.suffix_violations += int(np.count_nonzero(
-            new[:, n_grid + 1] < z - AUDIT_TOL))
-
-        buckets, pair = _closest_same_bucket(all_rows[:, :n_grid],
-                                             bucket_base ** float(-n))
+        prev = store[lo:hi]
+        report.candidates_total = hi
+        buckets, pair = _closest_same_bucket(
+            store[:hi, :n_grid], bucket_base ** float(-n), threads)
         level_status = "open"
         if pair is not None:
-            i1, i2 = pair
-            g1 = _candidate_word(i1, alpha, beta)
-            g2 = _candidate_word(i2, alpha, beta)
+            g1, g2 = (_candidate_word(i, alpha, beta) for i in pair)
             h1 = concat_reduce(g1, W)
             h2 = concat_reduce(g2, W)
             v = concat_reduce(invert(h1), h2)
@@ -348,11 +338,12 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
             best_certified=report.best_certified, status=level_status))
         if report.status == "success":
             break
-        if report.candidates_total * 2 + 2 > params.candidate_cap:
-            report.status = "cap_exhausted"
-            break
 
-    report.lemma1_min_slack = lemma1_min
+    # Candidate audits: value at z0 (never below z0) and at z.
+    at_z0, at_z = store[:report.candidates_total, n_grid:].T
+    report.lemma1_min_slack = float(np.min(at_z0 - z0, initial=math.inf))
+    report.lemma1_violations = int(np.count_nonzero(at_z0 < z0 - AUDIT_TOL))
+    report.suffix_violations = int(np.count_nonzero(at_z < z - AUDIT_TOL))
     if report.status == "success":
         _final_audits(report, S, grid, delta, theta_n)
     return report
@@ -368,26 +359,33 @@ def _values_past(word, w, w_xs, xs, S):
     return word_values(word, xs, S)
 
 
-def _closest_same_bucket(rows, width):
+def _closest_same_bucket(rows, width, threads=1):
     """(bucket count, closest adjacent same-bucket pair or None) of ``rows``.
 
-    Rows are bucketed by ``floor(row / width)`` and sorted by their bucket
-    keys, column by column, ties by the raw first value, so rows of one
-    bucket sit next to each other.  The pair is the adjacent same-bucket
-    pair with the smallest L-inf distance, as sorted row indices.
+    Rows are keyed by ``floor(row / width)``, one column at a time, and
+    ``sorted_runs`` sorts them by key, ties by the raw first value.  The
+    pair is the first adjacent same-bucket pair of least L-inf distance,
+    as sorted row indices; only those pairs are measured, block by block.
     """
-    keys = np.floor(rows / width)
-    order = np.lexsort((rows[:, 0], *keys.T[::-1]))
-    sorted_keys = keys[order]
-    same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
-    buckets = len(rows) - int(np.count_nonzero(same))
-    if not np.any(same):
-        return buckets, None
-    sorted_rows = rows[order]
-    linf = np.max(np.abs(sorted_rows[1:] - sorted_rows[:-1]), axis=1)
-    linf[~same] = np.inf
-    k = int(np.argmin(linf))
-    return buckets, tuple(sorted((int(order[k]), int(order[k + 1]))))
+    keys = np.empty((rows.shape[1], len(rows)))
+    for c in range(len(keys)):
+        np.floor(np.divide(rows[:, c], width, out=keys[c]), out=keys[c])
+    order, same = sorted_runs(keys, tie=(rows[:, 0],))
+    del keys                             # free before the distance blocks
+    ks = np.flatnonzero(same)            # sorted rows k, k + 1 share a bucket
+    if not len(ks):
+        return len(rows), None
+
+    def closest(a, b):
+        linf = np.max(np.abs(rows[order[ks[a:b] + 1]] - rows[order[ks[a:b]]]),
+                      axis=1)
+        i = int(np.argmin(linf))
+        return linf[i], a + i
+
+    _, j = min(map_row_blocks(closest, len(ks), threads, rows.shape[1]),
+               key=lambda best: best[0])
+    pair = order[ks[j]], order[ks[j] + 1]
+    return len(rows) - len(ks), tuple(sorted(map(int, pair)))
 
 
 def _final_audits(report: FlattenReport, S: GeneratorSet, grid: GridSpec,

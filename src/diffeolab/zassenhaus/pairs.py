@@ -1,14 +1,19 @@
-"""What the search engines share: the time budget, and the pigeonhole pair
-rule of transport and collision.
+"""What the search engines share: the time budget, the bucket sort of
+flatten and collision, and the pair rule of transport and collision.
 
-Two words in one bucket give a quotient g1^-1 g2 close to the identity; the
-rule picks which two, preferring pairs that differ as group elements.
+Two words in one bucket give a quotient g1^-1 g2 close to the identity.
+``sorted_runs`` orders buckets by key, primary key first, and a bucket's
+rows by tie columns, then by index: flatten ties by the raw first value and
+takes the closest adjacent pair; collision keeps index order, and
+``pick_pair`` prefers pairs that differ as group elements.
 """
 
 from __future__ import annotations
 
 import functools
 import time
+
+import numpy as np
 
 
 def budget_spent(time_budget_s):
@@ -18,6 +23,18 @@ def budget_spent(time_budget_s):
         return lambda: False
     deadline = time.monotonic() + time_budget_s
     return lambda: time.monotonic() >= deadline
+
+
+def sorted_runs(keys, tie=()):
+    """``(order, same)``: ``order`` sorts rows stably by the key columns
+    ``keys`` (primary first), then by the columns ``tie``, and ``same[k]``
+    says sorted rows k and k + 1 share every key, folded key by key."""
+    order = np.lexsort((*tie, *keys[::-1]))
+    same = np.ones(max(len(order) - 1, 0), bool)
+    for key in keys:
+        col = key[order]
+        same &= col[1:] == col[:-1]
+    return order, same
 
 
 def pick_pair(groups, form=None, stop=None):

@@ -58,14 +58,12 @@ def wreath_normal_form(w: Word, u_id: str = "u", v_id: str = "v") -> WreathNorma
     the position given by the v-exponent sum of the letters to its left.
     """
     shift = 0
-    offset = 0
     acc: dict[int, int] = {}
     for letter in w.letters:
         if letter.gen == v_id:
-            offset += letter.sign
             shift += letter.sign
         elif letter.gen == u_id:
-            acc[offset] = acc.get(offset, 0) + letter.sign
+            acc[shift] = acc.get(shift, 0) + letter.sign
         else:
             raise DomainError(f"letter {letter.gen!r} outside wreath alphabet")
     coeffs = tuple(sorted((p, c) for p, c in acc.items() if c != 0))

@@ -11,6 +11,7 @@ from diffeolab.words import concat_reduce, invert, level_word, sphere_levels
 from diffeolab.zassenhaus import CollisionParams, build_wreath_pair, \
     derivative_collision_search
 from diffeolab.zassenhaus.collision import _bucket_pair
+from diffeolab.zassenhaus.pairs import pick_pair
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,46 @@ def test_bucket_keys_past_int64_stay_distinct():
                                           np.zeros(3), 1e-21, math.log1p(0.01), None)
     assert pair is None
     assert (buckets, biggest) == (3, 1)
+
+
+def reference_bucket_pair(vals, logds, width_v, width_d, nf_of_idx):
+    """The collision bucket pass as it was before the shared sort: its own
+    ``lexsort``, sorted key copies and run split."""
+    j = np.floor(vals / width_v)
+    sub = np.floor(logds / width_d)
+    order = np.lexsort((sub, j))
+    jj, ss = j[order], sub[order]
+    new_value = jj[1:] != jj[:-1]
+    value_sizes = np.diff(np.r_[0, np.flatnonzero(new_value) + 1, len(order)])
+    cut = np.flatnonzero(new_value | (ss[1:] != ss[:-1])) + 1
+    starts, ends = np.r_[0, cut], np.r_[cut, len(order)]
+    multi = ends - starts > 1
+    groups = ((order[a], order[a + 1:b])
+              for a, b in zip(starts[multi], ends[multi]))
+    return (pick_pair(groups, nf_of_idx), len(value_sizes),
+            int(np.max(value_sizes)))
+
+
+@pytest.mark.parametrize("case, size, levels, width_v", [
+    ("equal values", 500, 6, 0.1),
+    ("one bucket", 300, None, 4.0),
+    ("no pair", 300, None, 1e-12),
+    ("keys past 2^63", 300, 8, 1e-21),
+    ("two rows", 2, 2, 0.5),
+    ("uniform", 3000, None, 1e-3),
+])
+def test_bucket_pair_matches_the_reference(case, size, levels, width_v):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    width_d = math.log1p(0.01)
+    for _ in range(8):
+        if levels is None:
+            vals = rng.uniform(0.39, 0.43, size)
+        else:
+            vals = 0.39 + 0.04 * rng.integers(0, levels, size) / levels
+        logds = rng.choice([0.0, 0.004, 0.012, -0.003], size)
+        for nf in (None, lambda i: i % 3, lambda i: 0):
+            assert _bucket_pair(vals, logds, width_v, width_d, nf) == \
+                reference_bucket_pair(vals, logds, width_v, width_d, nf)
 
 
 def test_ball_precondition():

@@ -5,6 +5,7 @@ import copy
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,85 @@ def test_flatten_fine_buckets_separate_every_candidate():
     assert rep.status == "cap_exhausted"
 
 
+def reference_closest_same_bucket(rows, width):
+    """The bucket pass as it was before the shared sort: floor keys, one
+    ``lexsort``, sorted key and row copies, and a masked L-inf argmin."""
+    keys = np.floor(rows / width)
+    order = np.lexsort((rows[:, 0], *keys.T[::-1]))
+    sorted_keys = keys[order]
+    same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
+    buckets = len(rows) - int(np.count_nonzero(same))
+    if not np.any(same):
+        return buckets, None
+    sorted_rows = rows[order]
+    linf = np.max(np.abs(sorted_rows[1:] - sorted_rows[:-1]), axis=1)
+    linf[~same] = np.inf
+    k = int(np.argmin(linf))
+    return buckets, tuple(sorted((int(order[k]), int(order[k + 1]))))
+
+
+Z0 = 1.0 - 2.9e-5          # the candidates' floor z0 at epsilon = 0.1
+
+
+def bucket_rows(rng, rows, cols, levels=None):
+    """Seeded candidate-like rows in [Z0, 1]; with ``levels``, on a lattice
+    of that many values, so first values and L-inf distances tie."""
+    if levels is None:
+        return rng.uniform(Z0, 1.0, (rows, cols))
+    return Z0 + (1.0 - Z0) * rng.integers(0, levels, (rows, cols)) / levels
+
+
+@pytest.mark.parametrize("case, rows, cols, levels, width", [
+    ("equal first values", 400, 4, 3, 2e-5),
+    ("one bucket", 300, 5, None, 1.0),
+    ("no pair", 300, 5, None, 1e-9),
+    ("keys past 2^63", 300, 2, 4, 1e-24),
+    ("two rows, one bucket", 2, 3, None, 1.0),
+    ("two rows, two buckets", 2, 3, None, 1e-9),
+    ("uniform", 2000, 2, None, 3e-6),
+])
+def test_bucket_pass_matches_the_reference(case, rows, cols, levels, width):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for _ in range(5):
+        values = bucket_rows(rng, rows, cols, levels)
+        # A strided view too, as flatten passes the store's value columns.
+        for v in (values, values[:, ::-1]):
+            assert _closest_same_bucket(v, width) == \
+                reference_closest_same_bucket(v, width)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("levels, width", [(2, 1.0), (4, 1.45e-5), (6, 1e-5),
+                                           (None, 3e-6), (None, 1.0)])
+def test_bucket_pass_blocks_match_the_reference(threads, levels, width):
+    # 30,000 rows of 10 values make five map_row_blocks blocks.  On the
+    # lattices, tied minima sit in several blocks and the first must win.
+    values = bucket_rows(np.random.default_rng(23), 30_000, 10, levels)
+    assert _closest_same_bucket(values, width, threads) == \
+        reference_closest_same_bucket(values, width)
+
+
+@pytest.mark.parametrize("width", [1e-9, 1.0])
+def test_bucket_pass_peak_stays_near_its_keys(width):
+    values = bucket_rows(np.random.default_rng(5), 1 << 16, 10)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        _closest_same_bucket(values, width)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # The key columns take the values' bytes; the old pass peaked at 5.1x.
+    assert peak <= 1.5 * values.nbytes
+
+
+@pytest.mark.parametrize("base", [1e200, 1.0, 0.5, math.nan])
+def test_flatten_rejects_a_bucket_base_without_a_normal_width(base):
+    # 1e200 ** -2 underflows to 0, which would put a level in one bucket.
+    with pytest.raises(dl.PreconditionError):
+        flatten(F, G, CERT, 0.5, FlattenParams(0.5, n_max=12, bucket_base=base))
+
+
 @pytest.mark.parametrize("alpha, beta", [("f", "g"), ("g f", "f"),
                                          ("f^-1 g^-1", "g^-1"),
                                          ("g", "g^-1 f")])
@@ -220,6 +300,36 @@ def test_flatten_cap_exhausted_on_tiny_level_budget():
     assert rep.status == "cap_exhausted"
     assert rep.best_v is not None
     assert rep.best_certified >= 0.4
+
+
+def levels_before_the_cap(n_max, cap):
+    """The level loop's old stopping rule: after level n, stop once the
+    next level's total 2^(n+2) - 2 would pass the cap."""
+    total = 0
+    for n in range(1, n_max + 1):
+        total += 2 ** n
+        if total * 2 + 2 > cap:
+            return n
+    return n_max
+
+
+@pytest.mark.parametrize("cap", [0, 2, 5, 6, 13, 14, 62, 1 << 21])
+def test_flatten_store_holds_the_levels_the_caps_allow(cap):
+    # Base 1e6 keeps every candidate in a bucket of its own, so the run
+    # goes on until n_max or the candidate cap stops it.
+    rep = flatten(F, G, CERT, 0.5, FlattenParams(0.5, n_max=9, candidate_cap=cap,
+                                                 bucket_base=1e6))
+    n_last = levels_before_the_cap(9, cap)
+    assert [row.n for row in rep.rows] == list(range(1, n_last + 1))
+    assert rep.candidates_total == 2 ** (n_last + 1) - 2
+    assert rep.status == "cap_exhausted"
+
+
+def test_flatten_out_of_time_before_level_one_audits_nothing():
+    rep = flatten(F, G, CERT, 0.5, FlattenParams(0.5, time_budget_s=0))
+    assert rep.status == "time_budget" and rep.rows == []
+    assert rep.candidates_total == 0 and rep.lemma1_min_slack == math.inf
+    assert rep.lemma1_violations == rep.suffix_violations == 0
 
 
 def test_flatten_best_certified_monotone():

@@ -1,5 +1,5 @@
-"""Every module under ``src/`` uses each name it imports, and every helper
-under ``src/`` is read somewhere.
+"""Every module under ``src/`` uses each name it imports, every helper
+under ``src/`` is read somewhere, and the one-helper jobs stay in one helper.
 
 The repository has no linter, so this parses each module with ``ast`` and
 compares the names its imports bind with the names its code reads, and the
@@ -90,3 +90,35 @@ def test_dead_helpers_finds_unread_definitions():
 def test_every_helper_is_read():
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     assert dead_helpers(sources) == []
+
+
+def readers(sources: dict[str, str], name: str) -> set[str]:
+    """``module:definition`` of each top-level function or class of
+    ``sources`` that reads ``name`` as a name or an attribute, and
+    ``module:`` for a read outside them."""
+    found = set()
+    for label, source in sources.items():
+        for top in ast.parse(source).body:
+            if any(isinstance(n, ast.Name) and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   for n in ast.walk(top)):
+                found.add(f"{label}:{top.name if isinstance(top, DEFS) else ''}")
+    return found
+
+
+def test_readers_finds_each_scope():
+    sources = {"a": ("import numpy as np\nfrom x import sort\n"
+                     "def f():\n    return np.sort\n"
+                     "def g():\n    def h():\n        return sort\n    return h\n"
+                     "k = sort\n")}
+    assert readers(sources, "sort") == {"a:f", "a:g", "a:"}
+
+
+@pytest.mark.parametrize("name, reader", [
+    ("lexsort", "diffeolab/zassenhaus/pairs.py:sorted_runs"),
+    ("ThreadPoolExecutor", "diffeolab/action.py:map_row_blocks"),
+])
+def test_one_helper_reads_the_primitive(name, reader):
+    # One bucket sort for flatten and collision, one thread-chunking helper.
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    assert readers(sources, name) == {reader}
