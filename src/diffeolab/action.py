@@ -9,6 +9,7 @@ at the start point.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -193,6 +194,15 @@ def check_c1_ball(S: GeneratorSet, epsilon: float) -> None:
 
 # -- sphere orbits -------------------------------------------------------------
 
+def budget_spent(time_budget_s):
+    """A check that says whether ``time_budget_s`` seconds have passed since
+    this call.  None never runs out; any number, 0 included, bounds the run."""
+    if time_budget_s is None:
+        return lambda: False
+    deadline = time.monotonic() + time_budget_s
+    return lambda: time.monotonic() >= deadline
+
+
 def map_row_blocks(fn, rows: int, threads: int, width: int = 1) -> list:
     """Call ``fn(a, b)`` on consecutive row blocks ``a .. b`` of ``rows`` rows
     and return the results in block order.
@@ -239,7 +249,7 @@ def _fill_level(S: GeneratorSet, lev, prev, outs, start: int,
 
 
 def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
-                  threads: int = 1):
+                  threads: int = 1, fold=None):
     """Propagate start points through sphere levels 1, 2, ... lazily.
 
     For each level m it yields the whole level's arrays (row order of
@@ -247,16 +257,26 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
     ``map_row_blocks``: each word's value equals its ``word_values`` and its
     derivative its ``apply_word`` ``chain_product`` bitwise.  Level m + 1
     starts from the yielded arrays, so a caller that changes them in place
-    propagates that.
+    propagates that.  With ``fold``, each row block goes to
+    ``fold(m, a, part)`` as soon as it is filled, and level m yields the
+    per-block results in block order; the last level is then never stored:
+    its blocks fill arrays of their own.
     """
     prev = [np.array([float(x)]) for x in starts]
     prev += [np.ones(1) for _ in starts] if derivs else []
-    for lev in levels[1:]:
-        outs = [np.empty(lev.size) for _ in prev]
-        map_row_blocks(lambda a, b: _fill_level(
-            S, lev, prev, [o[a:b] for o in outs], a, derivs), lev.size, threads)
+    for m, lev in enumerate(levels[1:], 1):
+        last = fold is not None and m == len(levels) - 1
+        outs = None if last else [np.empty(lev.size) for _ in prev]
+
+        def block(a, b):
+            part = ([np.empty(b - a) for _ in prev] if outs is None
+                    else [o[a:b] for o in outs])
+            _fill_level(S, lev, prev, part, a, derivs)
+            return fold(m, a, part) if fold else None
+
+        found = map_row_blocks(block, lev.size, threads)
         prev = outs
-        yield outs
+        yield outs if fold is None else found
 
 
 # -- ball probes ---------------------------------------------------------------
@@ -336,16 +356,16 @@ class _MinTracker:
 
 
 def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
-               deriv_gap=True, cap: int = 4_000_000, threads: int = 1) -> ProbeReport:
+               deriv_gap=True, cap: int = 4_000_000, threads: int = 1,
+               time_budget_s: float | None = None) -> ProbeReport:
     """Exact minima over every nontrivial reduced word of length <= n.
 
-    Every level runs through ``map_row_blocks``: each row block is filled by
-    ``_fill_level`` and folded into minima of its own, which the caller
-    merges in block order, so the minima, first-occurrence argmins and
-    counts do not depend on ``threads`` or the block size.  Each level below
-    the outermost is kept whole only until the next is built from it.  The
-    outermost is never stored: each block fills arrays of its own and drops
-    them once folded.
+    ``sphere_orbits`` hands each filled row block to a fold that takes
+    minima of its own, merged here in block order, so the minima,
+    first-occurrence argmins and counts do not depend on ``threads`` or the
+    block size; the outermost level is never stored.  Like the searches,
+    the probe checks ``time_budget_s`` before each level; a probe stopped by
+    it or by ``cap`` is not ``complete``.
     """
     if not (displacement or deriv_gap):
         raise PreconditionError("ball probe needs displacement or deriv_gap")
@@ -355,31 +375,27 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
         raise PreconditionError("displacement probe needs x0 in (0, 1)")
     if not 0.0 <= x0 <= 1.0:
         raise DomainError("x0 outside [0, 1]")
+    spent = budget_spent(time_budget_s)
     levels = sphere_levels(S, n, cap=cap)
-    complete = len(levels) == n + 1
-    top = len(levels) - 1
-    prev = [np.array([float(x0)])] + ([np.ones(1)] if deriv_gap else [])
+
+    def fold(m, a, part):
+        found = _MinTracker(), _MinTracker()
+        if displacement:
+            found[0].update(np.abs(part[0] - x0), m, a)
+        if deriv_gap:
+            found[1].update(np.abs(part[1] - 1.0), m, a)
+        return found
+
+    orbits = sphere_orbits(S, levels, [x0], derivs=deriv_gap,
+                           threads=threads, fold=fold)
     disp_t, gap_t = _MinTracker(), _MinTracker()
     rows = []
-    for m in range(1, top + 1):
-        lev = levels[m]
-        outs = [np.empty(lev.size) for _ in prev] if m < top else None
-
-        def block(a, b):
-            part = ([np.empty(b - a) for _ in prev] if outs is None
-                    else [o[a:b] for o in outs])
-            _fill_level(S, lev, prev, part, a, deriv_gap)
-            found = _MinTracker(), _MinTracker()
-            if displacement:
-                found[0].update(np.abs(part[0] - x0), m, a)
-            if deriv_gap:
-                found[1].update(np.abs(part[1] - 1.0), m, a)
-            return found
-
-        for d, g in map_row_blocks(block, lev.size, threads):
+    for m in range(1, len(levels)):
+        if spent():
+            break
+        for d, g in next(orbits):
             disp_t.merge(d)
             gap_t.merge(g)
-        prev = outs
         rows.append((m, disp_t.value if displacement else None,
                      gap_t.value if deriv_gap else None))
 
@@ -392,7 +408,7 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
 
     d_val, d_arg, d_pos, d_zero = emit(disp_t, displacement)
     g_val, g_arg, g_pos, g_zero = emit(gap_t, deriv_gap)
-    return ProbeReport(x0=x0, n=n, complete=complete,
+    return ProbeReport(x0=x0, n=n, complete=len(rows) == n,
                        min_displacement=d_val, argmin_displacement=d_arg,
                        min_positive_displacement=d_pos,
                        zero_displacement_words=d_zero,
@@ -400,4 +416,3 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
                        min_positive_deriv_gap=g_pos,
                        zero_deriv_gap_words=g_zero,
                        rows=tuple(rows))
-

@@ -39,6 +39,12 @@ class RunResult:
     summary: str = ""
 
 
+def _given(p: dict, kind, **keys) -> dict:
+    """``{name: kind(p, key)}`` for each ``name=key`` that section ``p``
+    sets, so the callee's own default stands for every key left out."""
+    return {name: kind(p, key) for name, key in keys.items() if key in p}
+
+
 def _flatten_cmd(cfg: ExperimentConfig, out_dir: str) -> tuple[int, list, str]:
     S, _ = build_generator_set(cfg)
     if len(S.generators) != 2:
@@ -49,12 +55,9 @@ def _flatten_cmd(cfg: ExperimentConfig, out_dir: str) -> tuple[int, list, str]:
     j_lo, j_hi = pair_val(p, "j", "0.65,0.75")
     cert = check_pingpong(f, g, Interval(i_lo, i_hi), Interval(j_lo, j_hi))
     params = FlattenParams(
-        epsilon=fval(p, "epsilon"),
-        n_max=ival(p, "n_max", 22),
-        candidate_cap=ival(p, "candidate_cap", 1 << 21),
-        escape_cap=ival(p, "escape_cap", 1_000_000),
-        grid_n=ival(p, "grid_n", 0) or None,
-        time_budget_s=cfg.time_budget_s)
+        epsilon=fval(p, "epsilon"), time_budget_s=cfg.time_budget_s,
+        **_given(p, ival, n_max="n_max", candidate_cap="candidate_cap",
+                 escape_cap="escape_cap", grid_n="grid_n"))
     report = flatten(f, g, cert, params.epsilon, params, threads=cfg.threads)
     paths = reports.emit_flatten(report, out_dir)
     return (STATUS_OK if report.status == "success" else STATUS_EXHAUSTED,
@@ -69,9 +72,8 @@ def _transport_cmd(cfg: ExperimentConfig, out_dir: str):
         delta_len=fval(p, "delta_len"),
         epsilon=fval(p, "epsilon"),
         lam=fval(p, "lambda"),
-        n_max=ival(p, "n_max", 12),
-        word_cap=ival(p, "word_cap", 4_000_000),
-        time_budget_s=cfg.time_budget_s)
+        time_budget_s=cfg.time_budget_s,
+        **_given(p, ival, n_max="n_max", word_cap="word_cap"))
     nf = pair.normal_form if pair is not None else None
     report = interval_transport_search(S, params, nf=nf)
     paths = reports.emit_transport(report, out_dir)
@@ -87,13 +89,9 @@ def _collision_cmd(cfg: ExperimentConfig, out_dir: str):
         c=fval(p, "c"),
         lam=fval(p, "lambda"),
         epsilon=fval(p, "epsilon"),
-        c1=fval(p, "c1", 0.0) or None,
-        lam1=fval(p, "lambda1", 0.0) or None,
-        lam2=fval(p, "lambda2", 0.0) or None,
-        eta=fval(p, "eta", 0.0) or None,
-        n_max=ival(p, "n_max", 14),
-        word_cap=ival(p, "word_cap", 4_000_000),
-        time_budget_s=cfg.time_budget_s)
+        time_budget_s=cfg.time_budget_s,
+        **_given(p, fval, c1="c1", lam1="lambda1", lam2="lambda2", eta="eta"),
+        **_given(p, ival, n_max="n_max", word_cap="word_cap"))
     nf = pair.normal_form if pair is not None else None
     report = derivative_collision_search(S, params, nf=nf)
     paths = reports.emit_collision(report, out_dir)
@@ -109,7 +107,8 @@ def _wreath_cmd(cfg: ExperimentConfig, out_dir: str):
     probe = None
     if "probe_x0" in w:
         probe = probe_ball(pair.generator_set, ival(w, "probe_n", 6),
-                           fval(w, "probe_x0"), threads=cfg.threads)
+                           fval(w, "probe_x0"), threads=cfg.threads,
+                           time_budget_s=cfg.time_budget_s)
     paths = reports.emit_wreath(pair, probe, out_dir)
     return STATUS_OK, paths, f"wreath built (step {pair.step:.6g})"
 
@@ -124,7 +123,8 @@ def _probe_cmd(cfg: ExperimentConfig, out_dir: str):
     report = probe_ball(S, ival(p, "n", 6), fval(p, "x0"),
                         displacement=kind in ("both", "displacement"),
                         deriv_gap=kind in ("both", "deriv_gap"),
-                        cap=ival(p, "cap", 4_000_000), threads=cfg.threads)
+                        threads=cfg.threads, time_budget_s=cfg.time_budget_s,
+                        **_given(p, ival, cap="cap"))
     paths = reports.emit_probe(report, out_dir)
     return (STATUS_OK if report.complete else STATUS_EXHAUSTED, paths,
             f"probe n={report.n} complete={report.complete}")

@@ -111,15 +111,16 @@ def emit_collision(report, out_dir: str) -> list[str]:
 
 def emit_probe(report, out_dir: str, name: str = "probe.csv") -> list[str]:
     rows = []
+    last = len(report.rows)      # rows are levels 1 .. last; argmins go there
     for n, disp, gap in report.rows:
         if disp is not None:
             rows.append(("displacement", n, report.x0, disp,
-                         report.argmin_displacement if n == report.n else None,
+                         report.argmin_displacement if n == last else None,
                          report.min_positive_displacement,
                          report.zero_displacement_words, report.complete))
         if gap is not None:
             rows.append(("deriv_gap", n, report.x0, gap,
-                         report.argmin_deriv_gap if n == report.n else None,
+                         report.argmin_deriv_gap if n == last else None,
                          report.min_positive_deriv_gap,
                          report.zero_deriv_gap_words, report.complete))
     path = write_csv(

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..action import apply_word, check_c1_ball, sphere_orbits
+from ..action import apply_word, budget_spent, check_c1_ball, sphere_orbits
 from ..errors import PreconditionError
 from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
-from .pairs import budget_spent, pick_pair, sorted_runs
+from .pairs import pick_pair, sorted_runs
 
 
 def _bracket_n1(eta: float, c1: float, cap: int = 10_000_000) -> int | None:
@@ -86,6 +86,8 @@ class CollisionParams:
             raise PreconditionError("C must lie in (0, 1)")
         if None in (self.c1, self.lam1, self.lam2, self.eta):
             raise PreconditionError("parameters not resolved")
+        if not 0.0 < self.c1:
+            raise PreconditionError("C1 must be positive")
         if not 1.0 < self.eta < self.lam / (1.0 + self.epsilon):
             raise PreconditionError("need 1 < eta < lambda / (1 + epsilon)")
         if not ((1.0 + self.epsilon) / (1.0 - self.epsilon)

@@ -35,14 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..action import (GridSpec, SupEstimate, apply_word, map_row_blocks,
-                      orbit, word_values)
+from ..action import (GridSpec, SupEstimate, apply_word, budget_spent,
+                      map_row_blocks, orbit, word_values)
 from ..certify import Interval, PingPongCertificate, scan_endpoint_delta
 from ..errors import CapExhausted, DomainError, PreconditionError
 from ..generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv,
                           letter_value)
 from ..words import EMPTY, Word, concat_reduce, invert
-from .pairs import budget_spent, sorted_runs
+from .pairs import sorted_runs
 
 AUDIT_TOL = 1e-12
 
@@ -299,13 +299,16 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
         report.theoretical_n = pigeonhole_bound(S.m_double, len(W), theta_n,
                                                 N, epsilon)
 
-    store = np.empty((2 ** (n_last + 1) - 2, len(base)))
+    store = np.empty((0, len(base)))
     prev = base.reshape(1, -1)
     for n in range(1, n_last + 1):
         if spent():
             report.status = "time_budget"
             break
         lo, mid, hi = 2 ** n - 2, 2 ** n - 2 + len(prev), 2 ** (n + 1) - 2
+        grown = np.empty((hi, len(base)))   # rows are reserved level by level
+        grown[:lo] = store
+        store = grown
 
         def grow(a, b):
             store[lo + a:lo + b] = word_values(alpha, prev[a:b], S)

@@ -1,5 +1,5 @@
-"""What the search engines share: the time budget, the bucket sort of
-flatten and collision, and the pair rule of transport and collision.
+"""What the search engines share: the bucket sort of flatten and
+collision, and the pair rule of transport and collision.
 
 Two words in one bucket give a quotient g1^-1 g2 close to the identity.
 ``sorted_runs`` orders buckets by key, primary key first, and a bucket's
@@ -11,18 +11,8 @@ takes the closest adjacent pair; collision keeps index order, and
 from __future__ import annotations
 
 import functools
-import time
 
 import numpy as np
-
-
-def budget_spent(time_budget_s):
-    """A check that says whether ``time_budget_s`` seconds have passed since
-    this call.  None never runs out; any number, 0 included, bounds the run."""
-    if time_budget_s is None:
-        return lambda: False
-    deadline = time.monotonic() + time_budget_s
-    return lambda: time.monotonic() >= deadline
 
 
 def sorted_runs(keys, tie=()):

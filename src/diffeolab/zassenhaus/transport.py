@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..action import apply_word, check_c1_ball, sphere_orbits, word_values
+from ..action import (apply_word, budget_spent, check_c1_ball, sphere_orbits,
+                      word_values)
 from ..certify import Interval
 from ..errors import DomainError
 from ..generators import GeneratorSet
 from ..words import Word, concat_reduce, invert, level_word, sphere_levels
-from .pairs import budget_spent, pick_pair
+from .pairs import pick_pair
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Batch front end: config parsing, dispatch, exit codes, reproducible CSVs."""
 
+import csv
 import hashlib
 import os
 
@@ -175,6 +176,37 @@ def test_empty_probe_report_header_only(tmp_path):
     paths = emit_probe(rep, str(tmp_path))
     text = open(paths[0]).read()
     assert text == "kind,n,x0,min_value,argmin,min_positive,zero_words,complete\n"
+
+
+def test_capped_probe_writes_its_argmins_on_the_last_rows(tmp_path):
+    rep = dl.probe_ball(dl.build_pp(), 8, 0.5, cap=200)
+    assert not rep.complete and len(rep.rows) == 4
+    with open(emit_probe(rep, str(tmp_path))[0], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["kind"], r["n"], r["argmin"]) for r in rows[-2:]] == [
+        ("displacement", "4", rep.argmin_displacement.text),
+        ("deriv_gap", "4", rep.argmin_deriv_gap.text)]
+    assert all(r["argmin"] == "" for r in rows[:-2])
+
+
+def test_probe_stops_at_its_time_budget(tmp_path):
+    # The cap alone lets four levels run; the budget is spent before the first.
+    cfg = tmp_path / "budget.ini"
+    cfg.write_text("[experiment]\ncommand = probe\ntime_budget = 0.000001\n\n"
+                   "[generators]\npreset = pp\n\n[probe]\nx0 = 0.5\nn = 8\ncap = 200\n")
+    assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    text = (tmp_path / "o" / "probe.csv").read_text()
+    assert text == "kind,n,x0,min_value,argmin,min_positive,zero_words,complete\n"
+
+
+def test_explicit_zero_c1_meets_validation(tmp_path, capsys):
+    # An explicit 0 used to stand for "use the default".
+    cfg = tmp_path / "c1.ini"
+    cfg.write_text("[experiment]\ncommand = collision\n\n[generators]\n"
+                   "preset = wreath\n\n[collision]\nx0 = 0.5\nc = 0.5\n"
+                   "lambda = 1.1\nepsilon = 0.0911\nn_max = 6\nc1 = 0\n")
+    assert main(["collision", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "C1 must be positive" in capsys.readouterr().out
 
 
 def test_rerun_byte_identical(tmp_path):

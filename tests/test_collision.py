@@ -37,6 +37,17 @@ def test_param_validation():
     assert p.big_l == 1.05
 
 
+@pytest.mark.parametrize("c1", [0.0, -0.01])
+def test_c1_must_be_positive(pair, c1):
+    # 0 would divide the log derivatives by a zero sub-bucket width; below 0
+    # the window (1 - C1, 1 + C1) is empty, so no pair could ever pass.
+    params = CollisionParams(x0=0.5, c=0.5, lam=1.1, epsilon=eps_of(pair),
+                             c1=c1, n_max=6)
+    with pytest.raises(dl.PreconditionError, match="C1 must be positive"):
+        derivative_collision_search(pair.generator_set, params,
+                                    nf=pair.normal_form)
+
+
 def test_wreath_pair_found(pair):
     S = pair.generator_set
     params = CollisionParams(x0=0.5, c=0.5, lam=1.1, epsilon=eps_of(pair),

@@ -325,6 +325,20 @@ def test_flatten_store_holds_the_levels_the_caps_allow(cap):
     assert rep.status == "cap_exhausted"
 
 
+def test_flatten_reserves_only_the_levels_it_reaches():
+    # At epsilon = 0.5 the default caps allow 2^21 - 2 candidate rows, but
+    # the run accepts within two levels; a store reserved for every allowed
+    # level up front traced 67 MiB in this test.
+    tracemalloc.start()
+    try:
+        rep = flatten(F, G, CERT, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "success" and rep.candidates_total <= 6
+    assert peak < 16 * 2 ** 20
+
+
 def test_flatten_out_of_time_before_level_one_audits_nothing():
     rep = flatten(F, G, CERT, 0.5, FlattenParams(0.5, time_budget_s=0))
     assert rep.status == "time_budget" and rep.rows == []

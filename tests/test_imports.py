@@ -117,8 +117,10 @@ def test_readers_finds_each_scope():
 @pytest.mark.parametrize("name, reader", [
     ("lexsort", "diffeolab/zassenhaus/pairs.py:sorted_runs"),
     ("ThreadPoolExecutor", "diffeolab/action.py:map_row_blocks"),
+    ("_fill_level", "diffeolab/action.py:sphere_orbits"),
 ])
 def test_one_helper_reads_the_primitive(name, reader):
-    # One bucket sort for flatten and collision, one thread-chunking helper.
+    # One bucket sort for flatten and collision, one thread-chunking helper,
+    # one sphere propagator for transport, collision and the probe.
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     assert readers(sources, name) == {reader}

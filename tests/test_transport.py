@@ -147,10 +147,15 @@ def test_interval_inside_unit(pair):
         interval_transport_search(pair.generator_set, params)
 
 
-@pytest.mark.parametrize("engine", ["flatten", "transport", "collision"])
+@pytest.mark.parametrize("engine", ["flatten", "transport", "collision", "probe"])
 def test_zero_time_budget_stops_before_the_first_level(pair, engine):
     # None is the unbounded budget; 0 is spent at once.
     S = pair.generator_set
+    if engine == "probe":
+        rep = dl.probe_ball(S, 6, 0.405, time_budget_s=0)
+        assert not rep.complete and rep.rows == ()
+        assert rep.min_displacement is None and rep.min_deriv_gap is None
+        return
     if engine == "flatten":
         f, g = build_pp().generators
         cert = dl.check_pingpong(f, g, dl.Interval(*dl.PP_I), dl.Interval(*dl.PP_J))
