@@ -140,6 +140,36 @@ class _SplineData:
             depth -= 1
 
     @cached_property
+    def leaf_buckets(self) -> tuple:
+        """(scale, start, halves): a bucket index over the keys of ``tree``.
+
+        ``scale`` is the power of two nearest the key count, and ``start[b]``
+        counts the keys below b / scale, that is those whose ``floor(key *
+        scale)`` is below b: both are exact, since scale is a power of two.
+        A y in [0, 1] has floor(y * scale) = b, so at least ``start[b]`` and
+        at most ``start[b + 1]`` keys lie below it: at most W more, W being
+        the widest bucket.  ``halves`` are the steps of a branch-free binary
+        search over those W + 1 counts, and ``start`` is lowered to at most
+        ``keys.size - W``, which keeps every key the search reads in the
+        table.  ``start`` is built a part at a time, so that no temporary
+        outgrows it.
+        """
+        keys = self.tree[1]
+        scale = 1 << round(math.log2(keys.size))
+        start = np.empty(scale + 1, np.int32)
+        first = 0
+        for part in np.array_split(start, 8):
+            part[:] = np.searchsorted(keys, np.arange(first, first + part.size) / scale)
+            first += part.size
+        widest = int(np.max(np.diff(start)))
+        np.minimum(start, keys.size - widest, out=start)
+        halves, count = [], widest + 1
+        while count > 1:
+            halves.append(count // 2)
+            count -= count // 2
+        return scale, start, tuple(halves)
+
+    @cached_property
     def tree_views(self) -> tuple:
         """``tree`` with its arrays as memoryviews, which index to Python floats."""
         depth, keys, bounds = self.tree
@@ -417,9 +447,8 @@ def _spline_inverse(d: _SplineData, y):
     flat = y.reshape(-1)
     blocks = max(1, flat.size // INVERSE_BLOCK)
     if flat.size <= SCALAR_INVERSE_MAX:
-        leaves = np.searchsorted(d.tree[1], flat, side="left") - 1
-        out = np.array([_spline_inverse_scalar(d, t, k)
-                        for t, k in zip(flat.tolist(), leaves.tolist())],
+        out = np.array([_spline_inverse_scalar(d, t, k) for t, k in
+                        zip(flat.tolist(), _table_leaves(d, flat).tolist())],
                        dtype=float)
     elif blocks == 1:
         out = _spline_inverse_block(d, flat)
@@ -434,38 +463,42 @@ def _spline_inverse(d: _SplineData, y):
 def _spline_inverse_block(d: _SplineData, y):
     """Bisection and Newton on the one segment whose value range holds y.
 
-    The tree lookup gives the bracket of the segment search plus ``depth``
-    bisection steps.  Sorted input then looks up the remaining steps too
-    (``_subtree_brackets``); otherwise they evaluate that segment's cubic
-    with the expressions of ``_spline_value`` / ``_spline_deriv``, so the
-    iterates are bitwise those of ``_invert_monotone`` run on the whole
-    spline.  At the segment's right knot x1 those functions switch to the
-    next segment, where s == 0 gives exactly that knot's value y1 and slope
-    m1.  Newton uses them there; in bisection a midpoint at x1 never counts
-    as below, since y < y1 on every segment but the last, and y <= y1 on
-    that one.  The residual check evaluates the same way at the final x,
-    which lies in [x0, x1], so it is bitwise ``_spline_value(d, x)``.
+    The tree lookup (``_table_leaves``) gives the bracket of the segment
+    search plus ``depth`` bisection steps.  Sorted input then looks up the
+    remaining steps too (``_subtree_brackets``); otherwise they evaluate
+    that segment's cubic with the expressions of ``_spline_value`` /
+    ``_spline_deriv``, so the iterates are bitwise those of
+    ``_invert_monotone`` run on the whole spline.  At the segment's right
+    knot x1 those functions switch to the next segment, where s == 0 gives
+    exactly that knot's value y1 and slope m1.  Newton uses them there; in
+    bisection a midpoint at x1 never counts as below, since y < y1 on every
+    segment but the last, and y <= y1 on that one.  The residual check
+    evaluates the same way at the final x, which lies in [x0, x1], so it is
+    bitwise ``_spline_value(d, x)``.
     """
     # Arrays are made in the order their predecessors die, so that a
     # block reuses its own freed memory instead of touching fresh pages.
-    depth, keys, bounds = d.tree
-    leaf = np.searchsorted(keys, y, side="left")
-    leaf -= 1
+    depth, _, bounds = d.tree
+    leaf = _table_leaves(d, y)
     brackets = _subtree_brackets(d, y, leaf)
-    lo, hi = brackets or (bounds[leaf], bounds[leaf + 1])
+    lo, hi = brackets or (np.take(bounds, leaf), np.take(bounds[1:], leaf))
     i = np.right_shift(leaf, depth, out=leaf)  # each point's segment
-    x0, y0, m0, c2, c3 = d.xs[i], d.ys[i], d.ms[i], d.c2[i], d.c3[i]
+    x0, y0, m0, c2, c3 = (np.take(a, i) for a in (d.xs, d.ys, d.ms, d.c2, d.c3))
     i += 1  # the right knot's, whose value and slope only x == x1 reads
-    x1 = d.xs[i]
+    x1 = np.take(d.xs, i)
     mid, s, v, dv = (np.empty_like(y) for _ in range(4))
     if brackets is None:
         below, off_knot = np.empty(y.shape, bool), np.empty(y.shape, bool)
+        # mid <= hi <= x1 and hi never rises, so mid reaches x1 only in a
+        # block that starts with some hi == x1 (a segment's last leaf).
+        at_knot = bool(np.any(np.equal(hi, x1, out=off_knot)))
         for _ in range(BISECT_STEPS - depth):
             np.add(lo, hi, out=mid)
             mid *= 0.5
             np.subtract(mid, x0, out=s)
             np.less(_cubic(s, y0, m0, c2, c3, out=v), y, out=below)
-            below &= np.not_equal(mid, x1, out=off_knot)
+            if at_knot:
+                below &= np.not_equal(mid, x1, out=off_knot)
             # Branch-free select, exact because 0 <= lo <= mid <= hi <= 1 on
             # every spline: below moves lo up to mid (else max(lo, 0) = lo)
             # and leaves hi (min(hi, mid + 1) = hi), otherwise hi comes down
@@ -495,6 +528,35 @@ def _spline_inverse_block(d: _SplineData, y):
     np.copyto(x, x0, where=y == y0)
     np.copyto(x, d.xs[-1], where=y == d.ys[-1])
     return x
+
+
+def _table_leaves(d: _SplineData, y):
+    """Each y's leaf of ``d.tree``: ``searchsorted(keys, y, side="left") - 1``.
+
+    y that do not decrease keep ``searchsorted``, which reuses each
+    bracket for the next point.  Otherwise each y starts at
+    ``start[floor(y * scale)]`` of the bucket index ``d.leaf_buckets`` and
+    takes its branch-free halvings, each ``leaf += half * (keys[leaf + half
+    - 1] < y)``; this gives the same counts.  Every index is in range (the
+    index is built so), and "clip" spares ``take`` a buffered copy.
+    ``fmin`` sends NaN to the last bucket, where it never moves, so NaN
+    still ends in the residual check.
+    """
+    keys = d.tree[1]
+    if not np.any(y[1:] < y[:-1]):
+        leaf = np.searchsorted(keys, y, side="left")
+        leaf -= 1
+        return leaf
+    scale, start, halves = d.leaf_buckets
+    b = np.multiply(y, scale)
+    leaf = np.fmin(b, scale, out=b).astype(np.intp)
+    np.copyto(leaf, np.take(start, leaf, mode="clip"))
+    below, step = np.empty(y.shape, bool), np.empty_like(leaf)
+    for half in halves:
+        np.less(np.take(keys[half - 1:], leaf, out=b, mode="clip"), y, out=below)
+        leaf += np.multiply(below, half, out=step)
+    leaf -= 1
+    return leaf
 
 
 def _subtree_brackets(d: _SplineData, y, leaf):

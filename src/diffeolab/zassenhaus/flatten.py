@@ -257,9 +257,9 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     if params.epsilon != epsilon:
         raise PreconditionError("epsilon differs from params.epsilon")
     S = GeneratorSet([f, g])
-    N = params.grid_n or (math.ceil(1.0 / epsilon) + 1)
-    if not 1.0 / N < epsilon:
-        raise PreconditionError("grid too coarse: need 1/N < epsilon")
+    N = math.ceil(1.0 / epsilon) + 1 if params.grid_n is None else params.grid_n
+    if not (N > 0 and 1.0 / N < epsilon):
+        raise PreconditionError("grid too coarse: need N > 0 and 1/N < epsilon")
     theta_n = 0.5 * (1.0 + 2.0 ** (1.0 / (2 * N)))
     # Level n runs if n <= n_max and, past level 1, 2^(n+1) - 2 <= cap.
     n_last = max(0, min(params.n_max,

@@ -67,6 +67,17 @@ def test_equal_generators_precondition(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("grid_n", [0, 1, -3])
+def test_flatten_grid_n_below_two_is_a_precondition_error(tmp_path, grid_n):
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(
+        "[experiment]\ncommand = flatten\n\n[generators]\npreset = pp\n\n"
+        f"[flatten]\nepsilon = 0.5\nn_max = 3\ngrid_n = {grid_n}\n")
+    out = tmp_path / "o"
+    assert main(["flatten", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_generator_spec_parsing():
     built = {}
     m = parse_generator_spec("f", "mobius lam=2", built)

@@ -263,6 +263,13 @@ def test_flatten_invalid_certificate_rejected():
         flatten(F, f2, bad, 0.5)
 
 
+@pytest.mark.parametrize("grid_n", [0, 1, -3])
+def test_flatten_rejects_a_grid_without_positive_cells_finer_than_epsilon(grid_n):
+    # 0 is a grid size like any other, not a request for the default grid.
+    with pytest.raises(dl.PreconditionError, match="grid too coarse"):
+        flatten(F, G, CERT, 0.5, FlattenParams(0.5, n_max=3, grid_n=grid_n))
+
+
 def test_flatten_epsilon_must_match_params():
     # The run reads epsilon from two places; they may not disagree.
     with pytest.raises(dl.PreconditionError, match="params.epsilon"):

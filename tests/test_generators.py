@@ -16,7 +16,7 @@ from diffeolab.generators import (BISECT_STEPS, INVERSE_BLOCK, NEWTON_STEPS,
                                   SCALAR_INVERSE_MAX, TREE_DEPTH, _invert_monotone,
                                   _invert_monotone_scalar, _spline_deriv,
                                   _spline_inverse, _spline_inverse_scalar,
-                                  _spline_value, build_pp, blend, mobius,
+                                  _spline_value, _table_leaves, build_pp, blend, mobius,
                                   polybump, spline)
 from diffeolab.errors import ConstructionError, DomainError, NumericError
 from diffeolab.zassenhaus import build_wreath_pair
@@ -657,3 +657,73 @@ def test_flatten_scan_blocks_take_the_sorted_route(monkeypatch, tmp_path, route_
     word_values(v, np.linspace(0.0, 1.0, 10_001), build_pp())
     assert len(route_log) == sum(1 for letter in v.letters if letter.sign < 0)
     assert sum(route_log) >= 0.9 * len(route_log)
+
+
+# -- the table lookup: a bucket index for blocks whose y decrease somewhere ----
+
+def lookup_points(d):
+    """10^5 random points, every key and 1 ulp either side, 0, 1 and the knot
+    values, shuffled so that they decrease somewhere.  They are clipped to
+    the inverse's domain [0, 1]: the first key is -5e-324."""
+    keys = d.tree[1]
+    y = np.concatenate([np.random.default_rng(11).random(100_000), keys,
+                        np.nextafter(keys, -np.inf), np.nextafter(keys, np.inf),
+                        [0.0, 1.0], d.ys])
+    y = np.clip(y, 0.0, 1.0)
+    np.random.default_rng(12).shuffle(y)
+    return y
+
+
+@pytest.mark.parametrize("name, d", route_splines(), ids=lambda v: v if isinstance(v, str) else "")
+def test_bucket_index_gives_the_searchsorted_leaves(name, d):
+    keys = d.tree[1]
+    y = lookup_points(d)
+    assert np.array_equal(_table_leaves(d, y), np.searchsorted(keys, y, side="left") - 1)
+    # About one int32 entry per key: the scale is the power of two nearest
+    # the key count, so the index is at most 0.71 times the keys' bytes.
+    scale, start, _ = d.leaf_buckets
+    assert start.dtype == np.int32 and start.size == scale + 1
+    assert start.nbytes <= 0.75 * keys.nbytes
+
+
+def test_only_blocks_that_decrease_read_the_bucket_index():
+    d = dataclasses.replace(build_pp()["f"]._spline)
+    y = np.sort(np.random.default_rng(14).random(INVERSE_BLOCK))
+    for block in (y, y[:SCALAR_INVERSE_MAX], np.repeat(y[:100], 3)):
+        assert np.array_equal(bits(_spline_inverse(d, block)), bits(whole_spline_inverse(d, block)))
+    assert "leaf_buckets" not in vars(d)
+    block = y[::-1]
+    assert np.array_equal(bits(_spline_inverse(d, block)), bits(whole_spline_inverse(d, block)))
+    assert "leaf_buckets" in vars(d)
+
+
+@pytest.mark.parametrize("n", [SCALAR_INVERSE_MAX, INVERSE_BLOCK])
+def test_bucket_index_fails_closed_on_nan(n):
+    d = build_pp()["f"]._spline
+    y = np.random.default_rng(n).random(n)
+    for k in (0, n - 1):
+        bad = y.copy()
+        bad[k] = math.nan
+        assert np.any(bad[1:] < bad[:-1])
+        with pytest.raises(NumericError):
+            _spline_inverse(d, bad)
+
+
+@pytest.mark.parametrize("name, d", route_splines(), ids=lambda v: v if isinstance(v, str) else "")
+def test_live_steps_test_the_right_knot_only_from_a_segments_last_leaf(monkeypatch, name, d):
+    # A midpoint reaches the right knot x1 only from a bracket whose hi is
+    # x1, and only a segment's last leaf starts with one, so a block without
+    # such points never tests mid != x1.  The float below each interior
+    # knot's value lies in that last leaf.
+    depth, keys, _ = d.tree
+    y = np.concatenate([np.random.default_rng(19).random(9000), np.nextafter(d.ys[1:-1], 0.0)])
+    last = (np.searchsorted(keys, y) - 1) % (1 << depth) == (1 << depth) - 1
+    blocks = [(y[~last], 0), (y, BISECT_STEPS - depth)]
+    refs = [bits(whole_spline_inverse(d, block)) for block, _ in blocks]
+    calls = []
+    not_equal = np.not_equal
+    monkeypatch.setattr(np, "not_equal", lambda *a, **k: calls.append(1) or not_equal(*a, **k))
+    for (block, steps), ref in zip(blocks, refs):
+        calls.clear()
+        assert np.array_equal(bits(_spline_inverse(d, block)), ref)
+        assert len(calls) == steps

@@ -118,9 +118,11 @@ def test_readers_finds_each_scope():
     ("lexsort", "diffeolab/zassenhaus/pairs.py:sorted_runs"),
     ("ThreadPoolExecutor", "diffeolab/action.py:map_row_blocks"),
     ("_fill_level", "diffeolab/action.py:sphere_orbits"),
+    ("leaf_buckets", "diffeolab/generators.py:_table_leaves"),
 ])
 def test_one_helper_reads_the_primitive(name, reader):
     # One bucket sort for flatten and collision, one thread-chunking helper,
-    # one sphere propagator for transport, collision and the probe.
+    # one sphere propagator for transport, collision and the probe, one
+    # table lookup for the spline inverse's array and small-array routes.
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     assert readers(sources, name) == {reader}
