@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -281,45 +281,50 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
 
 # -- ball probes ---------------------------------------------------------------
 
+#: The probed quantities: each kind's (derivatives needed, measure of one
+#: ``sphere_orbits`` row block at base point x0).  A block holds the values,
+#: then, with derivatives, the derivatives.
+PROBE_KINDS = {
+    "displacement": (False, lambda part, x0: np.abs(part[0] - x0)),
+    "deriv_gap": (True, lambda part, x0: np.abs(part[1] - 1.0)),
+}
+
+#: Words whose probe value falls at or below this act trivially at x0 for all
+#: practical purposes (pure rounding residue of exact cancellations).
+ZERO_TOL = 1e-13
+
+
+@dataclass(frozen=True)
+class ProbeMin:
+    """One kind's literal minimum over a ball with its first argmin, the
+    floor above ``ZERO_TOL`` (None if no word clears it) and the count of
+    words at or below it; ``degenerate`` flags a minimum at that level."""
+
+    value: float
+    argmin: Word
+    min_positive: float | None
+    zero_words: int
+
+    @property
+    def degenerate(self) -> bool:
+        return self.value <= ZERO_TOL
+
+
 @dataclass(frozen=True)
 class ProbeReport:
-    """Minimum displacement / derivative gap over a ball of reduced words.
+    """Minima of the ``PROBE_KINDS`` quantities over a ball of reduced words.
 
-    ``min_*`` are literal minima over all nontrivial words.  Because group
-    elements supported away from x0 act trivially there, the strictly
-    positive evidence lives in ``min_positive_*`` together with the count of
-    words fixing x0 to within ``ZERO_TOL``; ``degenerate_*`` flags a minimum
-    at the noise level.  Per-radius rows record the running minima, which
-    are non-increasing in n by construction.
+    Group elements supported away from x0 act trivially there, so the
+    positive evidence is each ``ProbeMin``'s floor with its zero count.
+    ``minima`` has each probed kind once a level has run; ``rows`` are
+    ``(n, {kind: running minimum})``, non-increasing in n by construction.
     """
 
     x0: float
     n: int
     complete: bool
-    min_displacement: float | None = None
-    argmin_displacement: Word | None = None
-    min_positive_displacement: float | None = None
-    zero_displacement_words: int = 0
-    min_deriv_gap: float | None = None
-    argmin_deriv_gap: Word | None = None
-    min_positive_deriv_gap: float | None = None
-    zero_deriv_gap_words: int = 0
+    minima: dict = field(default_factory=dict)
     rows: tuple = ()
-
-    @property
-    def degenerate_displacement(self) -> bool:
-        return (self.min_displacement is not None
-                and self.min_displacement <= ZERO_TOL)
-
-    @property
-    def degenerate_deriv_gap(self) -> bool:
-        return (self.min_deriv_gap is not None
-                and self.min_deriv_gap <= ZERO_TOL)
-
-
-#: Words whose probe value falls at or below this act trivially at x0 for all
-#: practical purposes (pure rounding residue of exact cancellations).
-ZERO_TOL = 1e-13
 
 
 class _MinTracker:
@@ -346,6 +351,7 @@ class _MinTracker:
         if vals[k] < self.value:
             self.value = float(vals[k])
             self.where = (n, offset + k)
+        return self
 
     def merge(self, other: "_MinTracker"):
         """Fold in a tracker of later rows; ties keep the earlier row."""
@@ -355,23 +361,25 @@ class _MinTracker:
             self.value, self.where = other.value, other.where
 
 
-def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
-               deriv_gap=True, cap: int = 4_000_000, threads: int = 1,
+def probe_ball(S: GeneratorSet, n: int, x0: float, *, kinds=tuple(PROBE_KINDS),
+               cap: int = 4_000_000, threads: int = 1,
                time_budget_s: float | None = None) -> ProbeReport:
-    """Exact minima over every nontrivial reduced word of length <= n.
+    """Exact minima of ``kinds`` over every nontrivial reduced word of
+    length <= n.
 
     ``sphere_orbits`` hands each filled row block to a fold that takes
     minima of its own, merged here in block order, so the minima,
     first-occurrence argmins and counts do not depend on ``threads`` or the
-    block size; the outermost level is never stored.  Like the searches,
-    the probe checks ``time_budget_s`` before each level; a probe stopped by
-    it or by ``cap`` is not ``complete``.
+    block size; the outermost level is never stored.  Derivatives are
+    propagated only when a kind needs them.  Like the searches, the probe
+    checks ``time_budget_s`` before each level; a probe stopped by it or by
+    ``cap`` is not ``complete``.
     """
-    if not (displacement or deriv_gap):
-        raise PreconditionError("ball probe needs displacement or deriv_gap")
+    if not kinds or not set(kinds) <= PROBE_KINDS.keys():
+        raise PreconditionError(f"probe kinds must be of {', '.join(PROBE_KINDS)}")
     if n < 1:
         raise PreconditionError("ball probe needs radius n >= 1")
-    if displacement and not 0.0 < x0 < 1.0:
+    if "displacement" in kinds and not 0.0 < x0 < 1.0:
         raise PreconditionError("displacement probe needs x0 in (0, 1)")
     if not 0.0 <= x0 <= 1.0:
         raise DomainError("x0 outside [0, 1]")
@@ -379,40 +387,24 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, displacement=True,
     levels = sphere_levels(S, n, cap=cap)
 
     def fold(m, a, part):
-        found = _MinTracker(), _MinTracker()
-        if displacement:
-            found[0].update(np.abs(part[0] - x0), m, a)
-        if deriv_gap:
-            found[1].update(np.abs(part[1] - 1.0), m, a)
-        return found
+        return {k: _MinTracker().update(PROBE_KINDS[k][1](part, x0), m, a)
+                for k in kinds}
 
-    orbits = sphere_orbits(S, levels, [x0], derivs=deriv_gap,
+    orbits = sphere_orbits(S, levels, [x0],
+                           derivs=any(PROBE_KINDS[k][0] for k in kinds),
                            threads=threads, fold=fold)
-    disp_t, gap_t = _MinTracker(), _MinTracker()
+    trackers = {k: _MinTracker() for k in kinds}
     rows = []
     for m in range(1, len(levels)):
         if spent():
             break
-        for d, g in next(orbits):
-            disp_t.merge(d)
-            gap_t.merge(g)
-        rows.append((m, disp_t.value if displacement else None,
-                     gap_t.value if deriv_gap else None))
-
-    def emit(track, on):
-        if not on or track.where is None:
-            return None, None, None, 0
-        argmin = level_word(levels, track.where[0], track.where[1], S)
-        pos = None if math.isinf(track.min_positive) else track.min_positive
-        return track.value, argmin, pos, track.zero_count
-
-    d_val, d_arg, d_pos, d_zero = emit(disp_t, displacement)
-    g_val, g_arg, g_pos, g_zero = emit(gap_t, deriv_gap)
-    return ProbeReport(x0=x0, n=n, complete=len(rows) == n,
-                       min_displacement=d_val, argmin_displacement=d_arg,
-                       min_positive_displacement=d_pos,
-                       zero_displacement_words=d_zero,
-                       min_deriv_gap=g_val, argmin_deriv_gap=g_arg,
-                       min_positive_deriv_gap=g_pos,
-                       zero_deriv_gap_words=g_zero,
+        for found in next(orbits):
+            for k, t in found.items():
+                trackers[k].merge(t)
+        rows.append((m, {k: t.value for k, t in trackers.items()}))
+    minima = {k: ProbeMin(t.value, level_word(levels, *t.where, S),
+                          None if math.isinf(t.min_positive) else t.min_positive,
+                          t.zero_count)
+              for k, t in trackers.items() if t.where is not None}
+    return ProbeReport(x0=x0, n=n, complete=len(rows) == n, minima=minima,
                        rows=tuple(rows))

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import reports
-from .action import probe_ball
+from .action import PROBE_KINDS, probe_ball
 from .certify import Interval, check_endpoint_slopes, check_pingpong, \
     positive_pair_separation, scan_endpoint_delta
 from .config import (COMMANDS, ExperimentConfig, build_generator_set, fval,
@@ -117,12 +117,11 @@ def _probe_cmd(cfg: ExperimentConfig, out_dir: str):
     S, _ = build_generator_set(cfg)
     p = cfg.params
     kind = p.get("kind", "both")
-    if kind not in ("both", "displacement", "deriv_gap"):
-        raise ConfigError(f"probe kind must be both, displacement or deriv_gap, "
-                          f"not {kind!r}")
+    if kind != "both" and kind not in PROBE_KINDS:
+        raise ConfigError(f"probe kind must be one of both, "
+                          f"{', '.join(PROBE_KINDS)}; not {kind!r}")
     report = probe_ball(S, ival(p, "n", 6), fval(p, "x0"),
-                        displacement=kind in ("both", "displacement"),
-                        deriv_gap=kind in ("both", "deriv_gap"),
+                        kinds=tuple(PROBE_KINDS) if kind == "both" else (kind,),
                         threads=cfg.threads, time_budget_s=cfg.time_budget_s,
                         **_given(p, ival, cap="cap"))
     paths = reports.emit_probe(report, out_dir)

@@ -112,17 +112,12 @@ def emit_collision(report, out_dir: str) -> list[str]:
 def emit_probe(report, out_dir: str, name: str = "probe.csv") -> list[str]:
     rows = []
     last = len(report.rows)      # rows are levels 1 .. last; argmins go there
-    for n, disp, gap in report.rows:
-        if disp is not None:
-            rows.append(("displacement", n, report.x0, disp,
-                         report.argmin_displacement if n == last else None,
-                         report.min_positive_displacement,
-                         report.zero_displacement_words, report.complete))
-        if gap is not None:
-            rows.append(("deriv_gap", n, report.x0, gap,
-                         report.argmin_deriv_gap if n == last else None,
-                         report.min_positive_deriv_gap,
-                         report.zero_deriv_gap_words, report.complete))
+    for n, values in report.rows:
+        for kind, value in values.items():
+            best = report.minima[kind]
+            rows.append((kind, n, report.x0, value,
+                         best.argmin if n == last else None,
+                         best.min_positive, best.zero_words, report.complete))
     path = write_csv(
         os.path.join(out_dir, name),
         ["kind", "n", "x0", "min_value", "argmin", "min_positive",

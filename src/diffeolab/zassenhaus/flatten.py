@@ -264,7 +264,8 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     # Level n runs if n <= n_max and, past level 1, 2^(n+1) - 2 <= cap.
     n_last = max(0, min(params.n_max,
                         (max(params.candidate_cap, 2) + 2).bit_length() - 2))
-    bucket_base = params.bucket_base or 2.0 ** (1.0 / (2 * N))
+    bucket_base = (2.0 ** (1.0 / (2 * N)) if params.bucket_base is None
+                   else params.bucket_base)
     if not (bucket_base > 1.0
             and bucket_base ** float(-n_last) >= np.finfo(float).tiny):
         raise PreconditionError("bucket_base must exceed 1 with normal widths")

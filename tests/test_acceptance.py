@@ -202,10 +202,11 @@ def test_criterion_09_wreath_counterexample(wreath_pair, capsys):
     # evidence, not proof: the literal minimum is zero because words
     # supported off x0 act trivially there; those words are counted and the
     # floor over genuinely acting words stays strictly positive
-    ok &= rep.degenerate_deriv_gap and rep.zero_deriv_gap_words > 0
-    ok &= rep.min_positive_deriv_gap is not None
-    ok &= rep.min_positive_deriv_gap > 0.0
-    ok &= rep.min_positive_displacement > 0.0
+    gap = rep.minima["deriv_gap"]
+    ok &= gap.degenerate and gap.zero_words > 0
+    ok &= gap.min_positive is not None
+    ok &= gap.min_positive > 0.0
+    ok &= rep.minima["displacement"].min_positive > 0.0
     announce(capsys, 9, "wreath counterexample built and probed", ok)
 
 

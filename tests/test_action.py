@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import diffeolab as dl
-from diffeolab.action import _PARALLEL_MIN, CLAMP_TOL, GridSpec, _fill_level, \
-    _MinTracker, apply_word, c0_dist_to_id, c1_dist_to_id, map_row_blocks, orbit, probe_ball, \
-    sphere_orbits, word_deriv_bounds, word_values, word_values_derivs
+from diffeolab.action import _PARALLEL_MIN, CLAMP_TOL, PROBE_KINDS, GridSpec, _fill_level, \
+    _MinTracker, ProbeMin, apply_word, c0_dist_to_id, c1_dist_to_id, map_row_blocks, orbit, \
+    probe_ball, sphere_orbits, word_deriv_bounds, word_values, word_values_derivs
 from diffeolab.generators import Letter, build_pp, mobius, polybump
 from diffeolab.words import EMPTY, Word, enumerate_sphere, level_word, reduce_letters, \
     sphere_levels, sphere_size
@@ -182,19 +182,19 @@ def test_word_deriv_bounds_sound():
 
 def test_min_displacement_mobius():
     S = dl.GeneratorSet([mobius("f", 2.0)])
-    rep = probe_ball(S, 1, 0.5, displacement=True, deriv_gap=False)
-    assert rep.min_displacement == pytest.approx(1.0 / 6.0, abs=1e-12)
-    assert rep.argmin_displacement.text == "f"
+    rep = probe_ball(S, 1, 0.5, kinds=("displacement",))
+    assert rep.minima["displacement"].value == pytest.approx(1.0 / 6.0, abs=1e-12)
+    assert rep.minima["displacement"].argmin.text == "f"
     with pytest.raises(dl.PreconditionError):
-        probe_ball(S, 1, 0.0, displacement=True, deriv_gap=False)
+        probe_ball(S, 1, 0.0, kinds=("displacement",))
 
 
 def test_min_deriv_gap_mobius_fixed_point():
     # multiplier at the fixed endpoint is lambda^k, so the gap is 0.5 at k=-1
     S = dl.GeneratorSet([mobius("f", 2.0)])
-    rep = probe_ball(S, 3, 0.0, displacement=False, deriv_gap=True)
-    assert rep.min_deriv_gap == pytest.approx(0.5, abs=1e-14)
-    assert rep.argmin_deriv_gap.text == "f^-1"
+    rep = probe_ball(S, 3, 0.0, kinds=("deriv_gap",))
+    assert rep.minima["deriv_gap"].value == pytest.approx(0.5, abs=1e-14)
+    assert rep.minima["deriv_gap"].argmin.text == "f^-1"
 
 
 def test_probe_empty_ball_rejected():
@@ -202,15 +202,16 @@ def test_probe_empty_ball_rejected():
         probe_ball(PP, 0, 0.5)
 
 
-def test_probe_without_a_measure_rejected():
-    with pytest.raises(dl.PreconditionError, match="displacement or deriv_gap"):
-        probe_ball(PP, 3, 0.5, displacement=False, deriv_gap=False)
+def test_probe_kinds_must_come_from_the_table():
+    for kinds in [(), ("c0",), ("displacement", "c0")]:
+        with pytest.raises(dl.PreconditionError, match=", ".join(PROBE_KINDS)):
+            probe_ball(PP, 3, 0.5, kinds=kinds)
 
 
 def test_probe_monotone_in_radius():
     rep = probe_ball(PP, 5, 0.37)
-    disp = [r[1] for r in rep.rows]
-    gap = [r[2] for r in rep.rows]
+    disp = [r[1]["displacement"] for r in rep.rows]
+    gap = [r[1]["deriv_gap"] for r in rep.rows]
     assert disp == sorted(disp, reverse=True)
     assert gap == sorted(gap, reverse=True)
 
@@ -218,10 +219,10 @@ def test_probe_monotone_in_radius():
 def test_probe_degenerate_flagged():
     # endpoint-flat pair: every derivative gap at 0 is exactly zero
     S = dl.GeneratorSet([polybump("a", 1.0), polybump("b", -0.5)])
-    rep = probe_ball(S, 2, 0.0, displacement=False, deriv_gap=True)
-    assert rep.min_deriv_gap == 0.0
-    assert rep.degenerate_deriv_gap
-    assert rep.zero_deriv_gap_words == 16
+    rep = probe_ball(S, 2, 0.0, kinds=("deriv_gap",))
+    assert rep.minima["deriv_gap"].value == 0.0
+    assert rep.minima["deriv_gap"].degenerate
+    assert rep.minima["deriv_gap"].zero_words == 16
 
 
 def test_probe_cap_partial():
@@ -233,8 +234,7 @@ def test_probe_cap_partial():
 def test_probe_thread_count_invariant():
     a = probe_ball(PP, 5, 0.41, threads=1)
     b = probe_ball(PP, 5, 0.41, threads=8)
-    assert a.min_displacement == b.min_displacement
-    assert a.min_deriv_gap == b.min_deriv_gap
+    assert a.minima == b.minima
     assert a.rows == b.rows
 
 
@@ -251,12 +251,12 @@ def test_probe_reports_thread_invariant_at_radius_12(S, x0):
     assert one == three
     assert len(one.rows) == 12 and one.complete
     # The argmin words reproduce the minima, so block offsets are right.
-    assert abs(word_values(one.argmin_displacement, [x0], S)[0] - x0) \
-        == one.min_displacement
-    ds = word_values_derivs(one.argmin_deriv_gap, [x0], S)[1]
-    assert abs(ds[0] - 1.0) == pytest.approx(one.min_deriv_gap, rel=1e-9, abs=1e-13)
+    disp, gap = one.minima["displacement"], one.minima["deriv_gap"]
+    assert abs(word_values(disp.argmin, [x0], S)[0] - x0) == disp.value
+    ds = word_values_derivs(gap.argmin, [x0], S)[1]
+    assert abs(ds[0] - 1.0) == pytest.approx(gap.value, rel=1e-9, abs=1e-13)
     if S is WREATH:  # words acting trivially at x0 give exact zeros
-        assert one.zero_displacement_words > 0 and one.zero_deriv_gap_words > 0
+        assert disp.zero_words > 0 and gap.zero_words > 0
 
 
 def test_min_tracker_blocks_equal_whole_array():
@@ -299,22 +299,23 @@ def test_probe_never_stores_the_outermost_level(threads):
 
 def brute_probe(S, n, x0):
     """Minima over every word of length 1..n from ``apply_word``, in level
-    order: (min, first argmin, min_positive, zero count, running minima) for
-    the displacement and for the derivative gap."""
+    order: the ``ProbeMin`` of the displacement and of the derivative gap,
+    and the running minima as ``ProbeReport.rows``."""
     disp, gap, running = [], [], []
     for m in range(1, n + 1):
         for w in enumerate_sphere(S, m):
             trace = apply_word(w, x0, S)
             disp.append((abs(trace.value - x0), w))
             gap.append((abs(trace.chain_product - 1.0), w))
-        running.append((m, min(v for v, _ in disp), min(v for v, _ in gap)))
+        running.append((m, {"displacement": min(v for v, _ in disp),
+                            "deriv_gap": min(v for v, _ in gap)}))
 
     def summary(items):
         vals = [v for v, _ in items]
         k = vals.index(min(vals))
         pos = [v for v in vals if v > dl.action.ZERO_TOL]
-        return (vals[k], items[k][1], min(pos) if pos else None,
-                len(vals) - len(pos))
+        return ProbeMin(vals[k], items[k][1], min(pos) if pos else None,
+                        len(vals) - len(pos))
 
     return summary(disp), summary(gap), tuple(running)
 
@@ -332,20 +333,13 @@ def test_probe_matches_brute_force_over_words(S, x0, n, cap, monkeypatch):
     for threads in (1, 3):
         both = probe_ball(S, n, x0, cap=cap, threads=threads)
         assert both.complete == (levels == n)
-        assert (both.min_displacement, both.argmin_displacement,
-                both.min_positive_displacement, both.zero_displacement_words) == disp
-        assert (both.min_deriv_gap, both.argmin_deriv_gap,
-                both.min_positive_deriv_gap, both.zero_deriv_gap_words) == gap
+        assert both.minima == {"displacement": disp, "deriv_gap": gap}
         assert both.rows == running
-    only_disp = probe_ball(S, n, x0, deriv_gap=False, cap=cap, threads=3)
-    only_gap = probe_ball(S, n, x0, displacement=False, cap=cap, threads=3)
-    assert only_disp == dataclasses.replace(
-        both, min_deriv_gap=None, argmin_deriv_gap=None, min_positive_deriv_gap=None,
-        zero_deriv_gap_words=0, rows=tuple((m, d, None) for m, d, _ in running))
-    assert only_gap == dataclasses.replace(
-        both, min_displacement=None, argmin_displacement=None,
-        min_positive_displacement=None, zero_displacement_words=0,
-        rows=tuple((m, None, g) for m, _, g in running))
+    for kind in PROBE_KINDS:
+        only = probe_ball(S, n, x0, kinds=(kind,), cap=cap, threads=3)
+        assert only == dataclasses.replace(
+            both, minima={kind: both.minima[kind]},
+            rows=tuple((m, {kind: mins[kind]}) for m, mins in running))
 
 
 def test_probe_ties_in_the_outermost_level_keep_the_first_row(monkeypatch):
@@ -356,12 +350,12 @@ def test_probe_ties_in_the_outermost_level_keep_the_first_row(monkeypatch):
     # blocks, so the first row wins only if blocks are folded in order.
     S = dl.GeneratorSet([mobius("f", 2.0), mobius("g", 8.0)])
     gap = brute_probe(S, 4, 0.0)[1]
-    assert gap[:2] == (0.0, Word((Letter("f", 1),) * 3 + (Letter("g", -1),)))
+    assert (gap.value, gap.argmin) == (
+        0.0, Word((Letter("f", 1),) * 3 + (Letter("g", -1),)))
     monkeypatch.setattr(dl.action, "_PARALLEL_MIN", 1)
-    rep = probe_ball(S, 4, 0.0, displacement=False, threads=1)
-    assert (rep.min_deriv_gap, rep.argmin_deriv_gap, rep.min_positive_deriv_gap,
-            rep.zero_deriv_gap_words) == gap
-    assert gap[3] == 16
+    rep = probe_ball(S, 4, 0.0, kinds=("deriv_gap",), threads=1)
+    assert rep.minima["deriv_gap"] == gap
+    assert gap.zero_words == 16
 
 
 @pytest.mark.parametrize("S", [PP, WREATH], ids=["pp", "wreath"])

@@ -7,7 +7,7 @@ import os
 import pytest
 
 import diffeolab as dl
-from diffeolab.action import ProbeReport
+from diffeolab.action import PROBE_KINDS, ProbeReport
 from diffeolab.cli import main
 from diffeolab.config import load_config, parse_generator_spec
 from diffeolab.errors import ConfigError
@@ -172,14 +172,42 @@ def test_time_budget_values(tmp_path, budget, seconds):
 
 
 @pytest.mark.parametrize("kind", ["displacment", "none", ""])
-def test_unknown_probe_kind_is_config_error(tmp_path, capsys, kind):
+def test_unknown_probe_kind_is_config_error(tmp_path, capsys, monkeypatch, kind):
+    # The message lists the kinds from the table, so a new kind joins it.
+    monkeypatch.setitem(PROBE_KINDS, "c0", PROBE_KINDS["displacement"])
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[experiment]\ncommand = probe\n\n[generators]\npreset = pp\n\n"
                    f"[probe]\nx0 = 0.5\nn = 3\nkind = {kind}\n")
     rc = main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 4
-    assert "probe kind" in capsys.readouterr().out
+    assert "probe kind must be one of both, displacement, deriv_gap, c0" \
+        in capsys.readouterr().out
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("tail", [
+    "[generators]\npreset = pp\n\n[probe]\nx0 = 0.41\nn = 7\n",
+    "[generators]\npreset = pp\n\n[probe]\nx0 = 0.5\nn = 8\ncap = 200\n",
+    "[generators]\npreset = wreath\n\n[wreath]\nepsilon = 0.1\ncore = 0.40,0.42\n"
+    "k = 3\n\n[probe]\nx0 = 0.405\nn = 6\n",
+], ids=["pp", "pp-capped", "wreath"])
+def test_single_kind_probe_is_its_lines_of_both(tmp_path, tail, threads):
+    # No shipped config pins a single-kind probe.csv; this pins its bytes to
+    # the both-kind file's, which the shipped digests do pin.
+    lines = {}
+    for kind in ("both", "displacement", "deriv_gap"):
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(f"[experiment]\ncommand = probe\n\n{tail}kind = {kind}\n")
+        out = tmp_path / kind
+        rc = main(["probe", "--config", str(cfg), "--out", str(out), "--threads", threads])
+        assert rc == (2 if "cap" in tail else 0)
+        lines[kind] = (out / "probe.csv").read_text().splitlines(keepends=True)
+    header, *both = lines.pop("both")
+    for kind, got in lines.items():
+        mine = [line for line in both if line.startswith(kind + ",")]
+        assert mine and mine[-1].split(",")[4] != ""  # the argmin on the last row
+        assert got == [header] + mine
 
 
 def test_empty_probe_report_header_only(tmp_path):
@@ -195,8 +223,8 @@ def test_capped_probe_writes_its_argmins_on_the_last_rows(tmp_path):
     with open(emit_probe(rep, str(tmp_path))[0], newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["kind"], r["n"], r["argmin"]) for r in rows[-2:]] == [
-        ("displacement", "4", rep.argmin_displacement.text),
-        ("deriv_gap", "4", rep.argmin_deriv_gap.text)]
+        ("displacement", "4", rep.minima["displacement"].argmin.text),
+        ("deriv_gap", "4", rep.minima["deriv_gap"].argmin.text)]
     assert all(r["argmin"] == "" for r in rows[:-2])
 
 

@@ -231,7 +231,7 @@ def test_bucket_pass_peak_stays_near_its_keys(width):
     assert peak <= 1.5 * values.nbytes
 
 
-@pytest.mark.parametrize("base", [1e200, 1.0, 0.5, math.nan])
+@pytest.mark.parametrize("base", [1e200, 1.0, 0.5, 0.0, math.nan])
 def test_flatten_rejects_a_bucket_base_without_a_normal_width(base):
     # 1e200 ** -2 underflows to 0, which would put a level in one bucket.
     with pytest.raises(dl.PreconditionError):

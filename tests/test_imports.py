@@ -126,3 +126,12 @@ def test_one_helper_reads_the_primitive(name, reader):
     # table lookup for the spline inverse's array and small-array routes.
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     assert readers(sources, name) == {reader}
+
+
+def test_only_action_spells_the_probe_kinds():
+    # One module knows the probed quantities; the others read PROBE_KINDS.
+    spelled = {p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py")
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.Constant)
+               and node.value in ("displacement", "deriv_gap")}
+    assert spelled == {"diffeolab/action.py"}

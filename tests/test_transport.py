@@ -154,7 +154,7 @@ def test_zero_time_budget_stops_before_the_first_level(pair, engine):
     if engine == "probe":
         rep = dl.probe_ball(S, 6, 0.405, time_budget_s=0)
         assert not rep.complete and rep.rows == ()
-        assert rep.min_displacement is None and rep.min_deriv_gap is None
+        assert rep.minima == {}
         return
     if engine == "flatten":
         f, g = build_pp().generators

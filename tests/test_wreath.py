@@ -115,7 +115,8 @@ def test_probe_positive_floor_with_flagged_zeros(pair):
     rep = dl.probe_ball(pair.generator_set, 6, 0.405)
     # words supported away from x0 act trivially there, so the literal
     # minimum degenerates; the evidence is the strictly positive floor
-    assert rep.degenerate_displacement and rep.degenerate_deriv_gap
-    assert rep.zero_deriv_gap_words > 0
-    assert rep.min_positive_displacement > 0
-    assert rep.min_positive_deriv_gap > 0
+    disp, gap = rep.minima["displacement"], rep.minima["deriv_gap"]
+    assert disp.degenerate and gap.degenerate
+    assert gap.zero_words > 0
+    assert disp.min_positive > 0
+    assert gap.min_positive > 0
