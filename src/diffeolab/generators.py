@@ -24,9 +24,7 @@ Maps are immutable after construction and all evaluations are pure.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
@@ -39,12 +37,18 @@ from .errors import ConstructionError, DomainError, NumericError
 #: Absolute tolerance accepted from the numeric inverse (splines, polybump).
 INVERSE_TOL = 1e-12
 
-#: Steps of the numeric inverse: bisection on the bracket, then Newton polish.
+#: Steps of polybump's numeric inverse (``_invert_monotone``): bisection on
+#: [0, 1], then Newton polish.  The spline inverse takes ``_newton_steps``
+#: Newton steps from its table leaf, and bisects down to ``BISECT_STEPS``
+#: levels only to solve again the points whose last step started or ended
+#: above ``INVERSE_TOL`` (``_spline_inverse_block``).
 BISECT_STEPS = 22
 NEWTON_STEPS = 4
 
-#: Bisection levels of the spline inverse that are looked up in a table
-#: (``_SplineData.tree``) instead of being stepped through.
+#: Levels of the spline inverse's table (``_SplineData.tree``): one lookup
+#: brackets each y's root within 2**-TREE_DEPTH of its segment, close enough
+#: for ``NEWTON_STEPS`` steps from the bracket's midpoint unless a knot's
+#: slope is small (``_spline_inverse_block``).
 TREE_DEPTH = 12
 
 #: Points per block of the array spline inverse: a call is cut into equal
@@ -52,9 +56,10 @@ TREE_DEPTH = 12
 #: a few arrays of that length whatever the input size.
 INVERSE_BLOCK = 8192
 
-#: Arrays up to this size are inverted point by point on the scalar path,
-#: which is faster than the ~200 numpy calls of one block below ~32 points.
-SCALAR_INVERSE_MAX = 32
+#: Arrays up to this size are inverted point by point on the scalar path: on
+#: `pp`'s splines a point costs about 4 us there, and one block about 70 us
+#: sorted and 90 us unsorted, so blocks win from about 17 and 22 points.
+SCALAR_INVERSE_MAX = 16
 
 
 class Letter(NamedTuple):
@@ -99,12 +104,6 @@ class _SplineData:
     ms: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
-    #: The sorted route's leaf subtrees (``_leaf_subtrees``), least recently
-    #: used first, and the lock that guards them across pool threads.
-    subtrees: OrderedDict = field(default_factory=OrderedDict, init=False,
-                                  repr=False, compare=False)
-    lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                 repr=False, compare=False)
 
     @cached_property
     def floats(self) -> tuple:
@@ -114,7 +113,7 @@ class _SplineData:
 
     @cached_property
     def tree(self) -> tuple:
-        """(depth, keys, bounds): the top ``depth`` levels of the inverse's bisection.
+        """(depth, keys, bounds): ``depth`` levels of bisection of every segment.
 
         Segment i owns 2**depth entries, in order: its knot, then the
         midpoints of its bisection tree (``_bisection_bounds``).  ``bounds``
@@ -122,15 +121,19 @@ class _SplineData:
         bounds[k + 1] in segment k >> depth, and keys[k] is the key of
         bounds[k].  A knot's key is the float just below ys[i], so it is
         below y exactly when the segment search (ys[i] <= y) goes right of
-        it.  While the keys do not decrease, ``searchsorted(keys, y,
-        side="left") - 1`` therefore walks that binary tree: it finds the
-        leaf of the segment search plus ``depth`` bisection steps.  ``depth``
-        is the deepest level up to ``TREE_DEPTH`` whose keys do not decrease.
+        it; a midpoint's key is the segment's cubic there, or inf at the
+        right knot.  While the keys do not decrease, ``searchsorted(keys, y,
+        side="left") - 1`` finds the leaf of the segment search plus
+        ``depth`` bisection steps.  ``depth`` is the deepest level up to
+        ``TREE_DEPTH`` whose keys do not decrease.
         """
-        bounds = _bisection_bounds(self.xs[:-1], self.xs[1:], TREE_DEPTH)
-        keys = _bisection_keys(self, np.arange(len(self.xs) - 1), bounds,
-                               np.nextafter(self.ys[:-1], -np.inf)).reshape(-1)
-        bounds = np.append(bounds[:, :-1], self.xs[-1])
+        bounds = _bisection_bounds(self.xs[:-1], self.xs[1:], TREE_DEPTH)[:, :-1]
+        s = bounds - self.xs[:-1, None]
+        keys = _cubic(s, self.ys[:-1, None], self.ms[:-1, None], self.c2[:, None],
+                      self.c3[:, None], out=np.empty_like(s))
+        keys[bounds == self.xs[1:, None]] = np.inf
+        keys[:, 0] = np.nextafter(self.ys[:-1], -np.inf)
+        keys, bounds = keys.reshape(-1), np.append(bounds, self.xs[-1])
         depth = TREE_DEPTH
         while True:
             step = 1 << (TREE_DEPTH - depth)
@@ -178,7 +181,7 @@ class _SplineData:
 
 def _bisection_bounds(lo, hi, levels: int):
     """Row r: the 2**levels + 1 abscissae, in order, of ``levels`` levels of
-    bisection of [lo[r], hi[r]], with the inverse's own ``0.5 * (lo + hi)``."""
+    bisection of [lo[r], hi[r]], each midpoint ``0.5 * (lo + hi)``."""
     width = 1 << levels
     bounds = np.empty((len(lo), width + 1))
     bounds[:, 0], bounds[:, -1] = lo, hi
@@ -188,22 +191,6 @@ def _bisection_bounds(lo, hi, levels: int):
         np.add(bounds[:, :-1:step], bounds[:, step::step], out=mid)
         mid *= 0.5
     return bounds
-
-
-def _bisection_keys(d: _SplineData, i, bounds, lo_key):
-    """The keys of ``bounds[r, :-1]`` in segment i[r].
-
-    The bracket's own key is ``lo_key[r]``.  A midpoint's key is the cubic's
-    value there, or inf at the right knot, so it is below y exactly when the
-    bisection step (value < y, never at the right knot) goes right of it.
-    """
-    left = bounds[:, :-1]
-    s = left - d.xs[i, None]
-    keys = _cubic(s, d.ys[i, None], d.ms[i, None], d.c2[i, None], d.c3[i, None],
-                  out=np.empty_like(s))
-    keys[left == d.xs[i + 1, None]] = np.inf
-    keys[:, 0] = lo_key
-    return keys
 
 
 def _fritsch_carlson_slopes(xs, ys, end_slopes, pins=None):
@@ -447,9 +434,7 @@ def _spline_inverse(d: _SplineData, y):
     flat = y.reshape(-1)
     blocks = max(1, flat.size // INVERSE_BLOCK)
     if flat.size <= SCALAR_INVERSE_MAX:
-        out = np.array([_spline_inverse_scalar(d, t, k) for t, k in
-                        zip(flat.tolist(), _table_leaves(d, flat).tolist())],
-                       dtype=float)
+        out = np.array([_spline_inverse_scalar(d, t) for t in flat.tolist()], dtype=float)
     elif blocks == 1:
         out = _spline_inverse_block(d, flat)
     else:
@@ -461,73 +446,101 @@ def _spline_inverse(d: _SplineData, y):
 
 
 def _spline_inverse_block(d: _SplineData, y):
-    """Bisection and Newton on the one segment whose value range holds y.
+    """Newton on each y's segment cubic from the midpoint of its table leaf.
 
-    The tree lookup (``_table_leaves``) gives the bracket of the segment
-    search plus ``depth`` bisection steps.  Sorted input then looks up the
-    remaining steps too (``_subtree_brackets``); otherwise they evaluate
-    that segment's cubic with the expressions of ``_spline_value`` /
-    ``_spline_deriv``, so the iterates are bitwise those of
-    ``_invert_monotone`` run on the whole spline.  At the segment's right
-    knot x1 those functions switch to the next segment, where s == 0 gives
-    exactly that knot's value y1 and slope m1.  Newton uses them there; in
-    bisection a midpoint at x1 never counts as below, since y < y1 on every
-    segment but the last, and y <= y1 on that one.  The residual check
-    evaluates the same way at the final x, which lies in [x0, x1], so it is
-    bitwise ``_spline_value(d, x)``.
+    The leaf (``_table_leaves``) brackets the root, and ``_leaf_solve``
+    takes ``_newton_steps`` steps from its midpoint.  Once a step starts
+    within ``INVERSE_TOL``, Newton squares the residual.  Near a knot whose
+    slope is small next to the cubic's curvature times the leaf's width,
+    though, the root can lie outside Newton's quadratic range from the
+    midpoint, and each step only halves the error.  So points whose last
+    step started, or ended, above ``INVERSE_TOL`` are solved again,
+    bisecting their leaf down to ``BISECT_STEPS`` levels before
+    ``NEWTON_STEPS`` steps, and fail only if that ends above it.
+    ``_spline_inverse_scalar`` does the same arithmetic on floats.
+    """
+    depth, _, bounds = d.tree
+    leaf = _table_leaves(d, y)
+    lo, hi = np.take(bounds, leaf), np.take(bounds[1:], leaf)
+    i = np.right_shift(leaf, depth, out=leaf)  # each point's segment
+    x, resid, far = _leaf_solve(d, y, i, lo, hi, 0, _newton_steps(depth))
+    if far.any():
+        x[far], resid[far], _ = _leaf_solve(d, y[far], i[far], lo[far], hi[far],
+                                            BISECT_STEPS - depth, NEWTON_STEPS)
+    _check_residual(resid)
+    return x
+
+
+def _leaf_solve(d: _SplineData, y, i, lo, hi, bisect: int, steps: int):
+    """x in each bracket [lo, hi] of segment i where its cubic meets y,
+    ``|cubic(x) - y|``, and where the last Newton step started or ended
+    above ``INVERSE_TOL``.
+
+    ``bisect`` steps narrow the bracket in place, then ``steps`` Newton
+    steps, each clipped to it, run from its midpoint.  One Horner pass gives
+    the cubic, rounded as in ``_spline_value``, and its derivative.  At the
+    segment's right knot x1 the spline switches to the next segment, where
+    s == 0 gives exactly that knot's value y1 and slope m1, and
+    ``_patch_at_knot`` does the same here.  The residual is taken the same
+    way at the final x, which lies in [x0, x1], so it is bitwise that of
+    ``_spline_value(d, x)``; then a y equal to its left knot's value, or to
+    1, gets that knot exactly.
     """
     # Arrays are made in the order their predecessors die, so that a
     # block reuses its own freed memory instead of touching fresh pages.
-    depth, _, bounds = d.tree
-    leaf = _table_leaves(d, y)
-    brackets = _subtree_brackets(d, y, leaf)
-    lo, hi = brackets or (np.take(bounds, leaf), np.take(bounds[1:], leaf))
-    i = np.right_shift(leaf, depth, out=leaf)  # each point's segment
     x0, y0, m0, c2, c3 = (np.take(a, i) for a in (d.xs, d.ys, d.ms, d.c2, d.c3))
-    i += 1  # the right knot's, whose value and slope only x == x1 reads
-    x1 = np.take(d.xs, i)
-    mid, s, v, dv = (np.empty_like(y) for _ in range(4))
-    if brackets is None:
-        below, off_knot = np.empty(y.shape, bool), np.empty(y.shape, bool)
-        # mid <= hi <= x1 and hi never rises, so mid reaches x1 only in a
-        # block that starts with some hi == x1 (a segment's last leaf).
-        at_knot = bool(np.any(np.equal(hi, x1, out=off_knot)))
-        for _ in range(BISECT_STEPS - depth):
-            np.add(lo, hi, out=mid)
-            mid *= 0.5
-            np.subtract(mid, x0, out=s)
-            np.less(_cubic(s, y0, m0, c2, c3, out=v), y, out=below)
-            if at_knot:
-                below &= np.not_equal(mid, x1, out=off_knot)
-            # Branch-free select, exact because 0 <= lo <= mid <= hi <= 1 on
-            # every spline: below moves lo up to mid (else max(lo, 0) = lo)
-            # and leaves hi (min(hi, mid + 1) = hi), otherwise hi comes down
-            # to mid.
-            np.maximum(lo, np.multiply(mid, below, out=s), out=lo)
-            np.minimum(hi, np.add(mid, below, out=s), out=hi)
-    x = np.add(lo, hi, out=mid)
-    x *= 0.5
-    c2x2, c3x3 = 2 * c2, 3 * c3
-    for _ in range(NEWTON_STEPS):
+    x1 = np.take(d.xs[1:], i)
+    y1, m1 = d.ys[1:], d.ms[1:]  # read at i only where x == x1
+    x, s, v, dv = np.empty_like(y), np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    far = np.zeros(y.shape, bool)
+    for _ in range(bisect):
+        np.add(lo, hi, out=x)
+        x *= 0.5
         np.subtract(x, x0, out=s)
-        _cubic(s, y0, m0, c2, c3, out=v)
-        np.multiply(c3x3, s, out=dv)
-        dv += c2x2
+        _patch_at_knot(x, x1, i, (_cubic(s, y0, m0, c2, c3, out=v), y1))
+        below = v < y
+        np.copyto(lo, x, where=below)
+        np.copyto(hi, x, where=~below)
+    np.add(lo, hi, out=x)
+    x *= 0.5
+    for left in range(steps, 0, -1):
+        np.subtract(x, x0, out=s)
+        np.multiply(s, c3, out=v)
+        v += c2
+        np.multiply(s, c3, out=dv)
+        dv += v
+        v *= s
+        v += m0
         dv *= s
-        dv += m0
-        _patch_at_knot(x, x1, i, (v, d.ys), (dv, d.ms))
+        dv += v
+        v *= s
+        v += y0
+        _patch_at_knot(x, x1, i, (v, y1), (dv, m1))
         v -= y
+        if left == 1:
+            np.greater(np.abs(v, out=s), INVERSE_TOL, out=far)
         v /= dv
         x -= v
         np.clip(x, lo, hi, out=x)
     np.subtract(x, x0, out=s)
-    _patch_at_knot(x, x1, i, (_cubic(s, y0, m0, c2, c3, out=v), d.ys))
+    _patch_at_knot(x, x1, i, (_cubic(s, y0, m0, c2, c3, out=v), y1))
     v -= y
-    _check_residual(np.abs(v, out=v))
+    np.abs(v, out=v)
+    far |= ~(v <= INVERSE_TOL)
     # Exact pinned-knot hits must come back exactly.
     np.copyto(x, x0, where=y == y0)
     np.copyto(x, d.xs[-1], where=y == d.ys[-1])
-    return x
+    return x, v, far
+
+
+def _newton_steps(depth: int) -> int:
+    """Newton steps from the leaf of a ``depth``-level table.
+
+    Each step about doubles the correct bits, and ``NEWTON_STEPS`` suffice
+    from a ``TREE_DEPTH`` leaf; a shallower table (a narrow segment's) gets
+    one more step per halving of its depth.
+    """
+    return NEWTON_STEPS + math.ceil(math.log2(TREE_DEPTH / max(depth, 1)))
 
 
 def _table_leaves(d: _SplineData, y):
@@ -551,88 +564,19 @@ def _table_leaves(d: _SplineData, y):
     b = np.multiply(y, scale)
     leaf = np.fmin(b, scale, out=b).astype(np.intp)
     np.copyto(leaf, np.take(start, leaf, mode="clip"))
-    below, step = np.empty(y.shape, bool), np.empty_like(leaf)
+    below = np.empty(y.shape, bool)
     for half in halves:
         np.less(np.take(keys[half - 1:], leaf, out=b, mode="clip"), y, out=below)
-        leaf += np.multiply(below, half, out=step)
+        np.add(leaf, half, out=leaf, where=below)
     leaf -= 1
     return leaf
 
 
-def _subtree_brackets(d: _SplineData, y, leaf):
-    """(lo, hi) after all ``BISECT_STEPS`` for sorted y, or None.
-
-    Used when ``leaf`` does not decrease and its distinct leaves need no
-    more subtree keys than the live steps would evaluate cubics (and at most
-    ``levels * INVERSE_BLOCK``).  Each touched leaf gets the remaining
-    levels of its bisection tree (``_leaf_subtrees``).  Every y lies above
-    its leaf's key and at or below the next leaf's, so while the
-    concatenated keys do not decrease, one ``searchsorted`` walks each point
-    down its own subtree, exactly as the live steps would.  Keys are joined
-    and searched for ``INVERSE_BLOCK`` of them at a time, whose points are
-    one slice of the block.  None sends the block to the live steps.
-    """
-    levels = BISECT_STEPS - d.tree[0]
-    if np.any(leaf[1:] < leaf[:-1]):
-        return None
-    ends = np.flatnonzero(leaf[:-1] != leaf[1:])  # of every leaf's run but the last
-    if (ends.size + 1) << levels > levels * min(y.size, INVERSE_BLOCK):
-        return None
-    subtrees = _leaf_subtrees(d, [*leaf[ends].tolist(), int(leaf[-1])], levels)
-    firsts = [0, *(ends + 1).tolist(), y.size]  # each touched leaf's first point
-    lo, hi = np.empty_like(y), np.empty_like(y)
-    rows = max(1, INVERSE_BLOCK >> levels)
-    for r in range(0, len(subtrees), rows):
-        part, a, b = subtrees[r:r + rows], firsts[r], firsts[min(r + rows, len(subtrees))]
-        sub_keys = np.concatenate([keys for keys, _ in part])
-        if np.any(sub_keys[1:] < sub_keys[:-1]):
-            return None
-        j = np.searchsorted(sub_keys, y[a:b], side="left")
-        j -= 1
-        j += j >> levels  # a row of bounds is one entry longer
-        part_bounds = np.concatenate([bounds for _, bounds in part])
-        np.take(part_bounds, j, out=lo[a:b], mode="clip")
-        j += 1
-        np.take(part_bounds, j, out=hi[a:b], mode="clip")
-    return lo, hi
-
-
-def _leaf_subtrees(d: _SplineData, touched: list, levels: int) -> list:
-    """The (keys, bounds) of each touched leaf's remaining ``levels`` levels.
-
-    ``bounds`` is the leaf's row of ``_bisection_bounds`` and ``keys`` its
-    row of ``_bisection_keys``, led by the leaf's own key.  ``d.subtrees``
-    keeps the most one block may touch, ``(levels * INVERSE_BLOCK) >>
-    levels``, and evicts the least recently used first; leaves it lacks are
-    built in one batch and stored as arrays of their own, so that eviction
-    frees them.  Entries are never changed, so a thread keeps its own even
-    after another evicts them, and two threads building one leaf is harmless.
-    """
-    store = d.subtrees
-    with d.lock:
-        found = [store.get(k) for k in touched]
-        for k, subtree in zip(touched, found):
-            if subtree is not None:
-                store.move_to_end(k)
-    missing = [n for n, subtree in enumerate(found) if subtree is None]
-    if missing:
-        depth, keys, bounds = d.tree
-        m = np.array([touched[n] for n in missing])
-        sub_bounds = _bisection_bounds(bounds[m], bounds[m + 1], levels)
-        sub_keys = _bisection_keys(d, m >> depth, sub_bounds, keys[m])
-        with d.lock:
-            for n, k, b in zip(missing, sub_keys, sub_bounds):
-                found[n] = store[touched[n]] = (k.copy(), b.copy())
-            while len(store) > (levels * INVERSE_BLOCK) >> levels:
-                store.popitem(last=False)
-    return found
-
-
-def _patch_at_knot(x, x1, right, *pairs):
-    """Where x == x1, set each ``out`` of ``pairs`` to its ``knots[right]``."""
+def _patch_at_knot(x, x1, i, *pairs):
+    """Where x == x1, set each ``out`` of ``pairs`` to its ``knots[i]``."""
     at_knot = x == x1
     if at_knot.any():
-        k = right[at_knot]
+        k = i[at_knot]
         for out, knots in pairs:
             out[at_knot] = knots[k]
 
@@ -654,18 +598,17 @@ def _check_residual(resid):
         raise NumericError(f"inverse did not converge (residual {np.max(resid):g})")
 
 
-def _invert_monotone(value_fn, deriv_fn, y, lo, hi,
-                     bisect_steps=BISECT_STEPS, newton_steps=NEWTON_STEPS):
+def _invert_monotone(value_fn, deriv_fn, y, lo, hi):
     """Safeguarded bisection plus Newton polish for a monotone map."""
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(bisect_steps):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         below = value_fn(mid) < y
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)
-    for _ in range(newton_steps):
+    for _ in range(NEWTON_STEPS):
         step = (value_fn(x) - y) / deriv_fn(x)
         x = np.clip(x - step, lo, hi)
     _check_residual(np.abs(value_fn(x) - y))
@@ -715,36 +658,31 @@ def _spline_deriv_scalar(d: _SplineData, x: float) -> float:
     return ms[i] + s * (2 * c2[i] + 3 * c3[i] * s)
 
 
-def _spline_inverse_scalar(d: _SplineData, y: float, leaf=None) -> float:
-    """``_spline_inverse_block`` on one float; ``leaf`` is its tree leaf, if known."""
+def _spline_inverse_scalar(d: _SplineData, y: float) -> float:
+    """``_spline_inverse_block`` on one float: its first solve, and the
+    array path itself for a point that it would solve again."""
     xs, ys, ms, c2, c3 = d.floats
     depth, keys, bounds = d.tree_views
-    if leaf is None:
-        leaf = bisect_left(keys, y) - 1
+    leaf = bisect_left(keys, y) - 1
     i = leaf >> depth
     x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
     m0, m1, a2, a3 = ms[i], ms[i + 1], c2[i], c3[i]
     lo, hi = bounds[leaf], bounds[leaf + 1]
-    for _ in range(BISECT_STEPS - depth):
-        mid = 0.5 * (lo + hi)
-        s = mid - x0
-        v = y1 if mid == x1 else y0 + s * (m0 + s * (a2 + s * a3))
-        if v < y:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(NEWTON_STEPS):
+    x, r = 0.5 * (lo + hi), 0.0
+    for _ in range(_newton_steps(depth)):
         if x == x1:
             v, dv = y1, m1
         else:
             s = x - x0
-            v = y0 + s * (m0 + s * (a2 + s * a3))
-            dv = m0 + s * (2 * a2 + 3 * a3 * s)
-        x = min(max(x - (v - y) / dv, lo), hi)
-    resid = abs(_spline_value_scalar(d, x) - y)
-    if not resid <= INVERSE_TOL:
-        raise NumericError(f"inverse did not converge (residual {resid:g})")
+            v = s * a3 + a2
+            dv = s * a3 + v
+            v = v * s + m0
+            dv = dv * s + v
+            v = v * s + y0
+        r = v - y
+        x = min(max(x - r / dv, lo), hi)
+    if not (abs(r) <= INVERSE_TOL and abs(_spline_value_scalar(d, x) - y) <= INVERSE_TOL):
+        return float(_spline_inverse_block(d, np.array([y]))[0])
     if y == y0:
         return x0
     return xs[-1] if y == ys[-1] else x

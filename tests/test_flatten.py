@@ -393,12 +393,13 @@ def _zone_derivs(rep, grid):
     return out
 
 
-@pytest.mark.parametrize("grid_n", [None, SCALAR_INVERSE_MAX])
+@pytest.mark.parametrize("grid_n", [None, SCALAR_INVERSE_MAX, 2 * SCALAR_INVERSE_MAX])
 def test_cached_w_grid_gives_the_uncached_report_bitwise(monkeypatch, grid_n):
-    # The default grid (N + 1 = 7) takes the scalar inverse; N = 32 puts the
-    # N + 1 grid points on the array route and the N - 1 interior ones on the
-    # scalar route, so W's cached values come from a different route than a
-    # fresh W on the interior would.
+    # The default grid (N + 1 = 7) takes the scalar inverse; N =
+    # SCALAR_INVERSE_MAX puts the N + 1 grid points on the array route and
+    # the N - 1 interior ones on the scalar route, so W's cached values come
+    # from a different route than a fresh W on the interior would.  N =
+    # 2 * SCALAR_INVERSE_MAX puts both on the array route.
     calls = []
 
     def spy(word, w, w_xs, xs, S):
@@ -449,7 +450,7 @@ def test_cached_w_grid_gives_the_uncached_report_bitwise(monkeypatch, grid_n):
     assert audited.theta_audit_violations == violations(tight) > 0
 
 
-@pytest.mark.parametrize("size", [7, 2 * SCALAR_INVERSE_MAX + 1])
+@pytest.mark.parametrize("size", [7, 2 * SCALAR_INVERSE_MAX + 1, 4 * SCALAR_INVERSE_MAX + 1])
 def test_values_past_falls_back_when_the_word_cancels_into_w(size):
     xs = np.linspace(0.0, 1.0, size)
     w = word_from_text("f^-1 f^-1 f^-1 g", PP)

@@ -123,7 +123,7 @@ def test_readers_finds_each_scope():
 def test_one_helper_reads_the_primitive(name, reader):
     # One bucket sort for flatten and collision, one thread-chunking helper,
     # one sphere propagator for transport, collision and the probe, one
-    # table lookup for the spline inverse's array and small-array routes.
+    # bucket-index lookup for the array spline inverse.
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     assert readers(sources, name) == {reader}
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diffeolab.errors import ConstructionError
-from diffeolab.generators import SCALAR_INVERSE_MAX, blend, mobius, polybump, spline
-from test_generators import bits, whole_spline_inverse
+from diffeolab.generators import (INVERSE_TOL, SCALAR_INVERSE_MAX, blend, mobius, polybump,
+                                  spline)
+from test_generators import assert_near_mp_roots, bits, whole_spline_solve
 
 FAMILIES = ("mobius", "polybump", "spline", "blend")
 
@@ -77,21 +78,46 @@ def narrow_segment_splines(draw):
     return g
 
 
-@pytest.mark.parametrize("family", ("spline", "blend", "narrow"))
+@st.composite
+def small_slope_splines(draw):
+    # An end slope of 1e-3 to 1e-8: near that knot Newton from the leaf's
+    # midpoint may only halve its error, and the bracketed re-solve runs.
+    k = draw(st.integers(1, 3))
+    inner = st.lists(st.floats(0.02, 0.98), min_size=k, max_size=k, unique=True)
+    xs, ys = sorted(draw(inner)), sorted(draw(inner))
+    slopes = [10.0 ** -draw(st.floats(3.0, 8.0)), draw(st.floats(0.5, 2.0))]
+    if draw(st.booleans()):
+        slopes.reverse()
+    try:
+        return spline("s", [(0.0, 0.0), *zip(xs, ys), (1.0, 1.0)], end_slopes=slopes)
+    except ConstructionError:
+        assume(False)
+
+
+SPLINE_FAMILIES = {"spline": lambda: generator_maps("spline"),
+                   "blend": lambda: generator_maps("blend"),
+                   "narrow": narrow_segment_splines, "small_slope": small_slope_splines}
+
+
+@pytest.mark.parametrize("family", SPLINE_FAMILIES)
 @SETTINGS
 @given(data=st.data())
 def test_spline_tree_lookup_keeps_the_inverse_bitwise(family, data):
-    g = data.draw(narrow_segment_splines() if family == "narrow"
-                  else generator_maps(family))
+    g = data.draw(SPLINE_FAMILIES[family]())
     d = g._spline
     _, keys, bounds = d.tree
     assert np.all(keys[1:] >= keys[:-1]) and bounds.size == keys.size + 1
     knots = np.concatenate([d.ys, np.nextafter(d.ys, 0.0), np.nextafter(d.ys, 1.0)])
+    near_ends = 10.0 ** -np.array(data.draw(st.lists(st.floats(4.0, 14.0), max_size=8)))
     n = SCALAR_INVERSE_MAX
-    ys = np.concatenate([knots, data.draw(st.lists(unit, min_size=n, max_size=2 * n))])
-    ref = bits(whole_spline_inverse(d, ys))
+    ys = np.concatenate([knots, near_ends, 1.0 - near_ends,
+                         data.draw(st.lists(unit, min_size=n, max_size=2 * n))])
+    ys = np.clip(ys, 0.0, 1.0)
     # Above SCALAR_INVERSE_MAX points by blocks, up to it point by point.
-    assert np.array_equal(bits(g.inverse(ys)), ref)
+    xs = g.inverse(ys)
+    assert np.array_equal(bits(xs), bits(whole_spline_solve(d, ys)))
+    assert np.max(np.abs(g.value(xs) - ys)) <= INVERSE_TOL
+    assert_near_mp_roots(d, ys, xs)
     small = [g.inverse(ys[k:k + n]) for k in range(0, ys.size, n)]
-    assert np.array_equal(bits(np.concatenate(small)), ref)
-    assert np.array_equal(bits([g.inverse(float(t)) for t in ys]), ref)
+    assert np.array_equal(bits(np.concatenate(small)), bits(xs))
+    assert np.array_equal(bits([g.inverse(float(t)) for t in ys]), bits(xs))
