@@ -428,8 +428,7 @@ def _spline_inverse(d: _SplineData, y):
     """Inverse of the spline, point by point on small inputs, else by blocks.
 
     A call is cut into ``max(1, size // INVERSE_BLOCK)`` blocks of equal
-    size, so no block reaches ``2 * INVERSE_BLOCK`` points and the
-    10,001-point scans run as one block.
+    size, so no block reaches ``2 * INVERSE_BLOCK`` points.
     """
     flat = y.reshape(-1)
     blocks = max(1, flat.size // INVERSE_BLOCK)

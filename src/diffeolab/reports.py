@@ -40,11 +40,10 @@ def emit_flatten(report, out_dir: str) -> list[str]:
         ["n", "candidates", "buckets", "best_certified", "status"],
         [(r.n, r.candidates, r.buckets, r.best_certified, r.status)
          for r in report.rows])
-    nontrivial = ""
-    if report.nontrivial_point is not None:
-        nontrivial = f"{report.nontrivial_point[0]:.17g}:{report.nontrivial_point[1]:.17g}"
-    elif report.v is not None:
-        nontrivial = "numerically_indistinguishable"
+    c0, nontrivial = report.c0, ""
+    if c0 is not None:      # the accepted level's own grid: where v moves most
+        nontrivial = (f"{c0.argmax_x:.17g}:{c0.grid_max:.17g}" if c0.grid_max > 0
+                      else "numerically_indistinguishable")
     detail = write_csv(
         os.path.join(out_dir, "flatten_detail.csv"),
         ["n", "candidates", "best_cert", "status", "v",

@@ -143,7 +143,8 @@ def _bucket_pair(vals, logds, width_v, width_d, nf_of_idx):
     anchor."""
     j = np.floor(vals / width_v)
     order, same = sorted_runs((j, np.floor(logds / width_d)))
-    _, value_sizes = np.unique(j, return_counts=True)
+    j = j[order]                 # j is the primary key, so its runs are sorted
+    value_sizes = np.diff(np.r_[0, np.flatnonzero(j[1:] != j[:-1]) + 1, len(j)])
     cut = np.flatnonzero(~same) + 1
     starts, ends = np.r_[0, cut], np.r_[cut, len(order)]
     multi = ends - starts > 1

@@ -99,7 +99,6 @@ class FlattenReport:
     theta_audit_checked: int = 0
     theta_audit_violations: int = 0
     theoretical_n: int | None = None
-    nontrivial_point: tuple[float, float] | None = None
     notes: tuple[str, ...] = ()
     # W at grid.points(), where every C0 check and the theta audit start.
     w_grid: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -246,6 +245,11 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
     Returns a report whose status is ``success`` once some pulled-back pair
     has certified sup displacement below ``2 * epsilon``; hitting the level or
     candidate caps yields ``cap_exhausted`` with the best word found so far.
+
+    An accepted v = W^-1 g1^-1 g2 W is not the identity by construction, with
+    no point scanned: g1 != g2 are sequences over alpha and beta, positive
+    words in one sign of the ping-pong pair with distinct first letters (a
+    prefix code), so they are distinct elements of a free semigroup.
     """
     if not cert.valid:
         raise PreconditionError("ping-pong certificate is invalid")
@@ -416,8 +420,3 @@ def _final_audits(report: FlattenReport, S: GeneratorSet, grid: GridSpec,
         trace = apply_word(cand, report.z, S)
         report.suffix_violations += sum(
             1 for p in trace.points[1:] if p < report.z - AUDIT_TOL)
-
-    xs = np.linspace(0.0, 1.0, 10_001)
-    disp = np.abs(word_values(report.v, xs, S) - xs)
-    k = int(np.argmax(disp))
-    report.nontrivial_point = (float(xs[k]), float(disp[k])) if disp[k] > 0 else None

@@ -2,6 +2,7 @@
 and the end-to-end run on the reference pair."""
 
 import copy
+import csv
 import importlib
 import itertools
 import math
@@ -14,6 +15,7 @@ import diffeolab as dl
 from diffeolab.action import GridSpec, apply_word, c0_dist_to_id, orbit, word_values
 from diffeolab.certify import Interval
 from diffeolab.generators import SCALAR_INVERSE_MAX, build_pp, letter_deriv, mobius
+from diffeolab.reports import emit_flatten
 from diffeolab.zassenhaus import (FlattenParams, choose_case, find_escape_word,
                                   flatten, pigeonhole_bound)
 from diffeolab.words import EMPTY, concat_reduce, invert, word_from_text
@@ -291,7 +293,7 @@ def test_flatten_reference_run():
     assert rep.theta_audit_violations == 0
     assert rep.lemma1_min_slack >= -1e-12
     assert rep.theoretical_n is not None and rep.theoretical_n > rep.n_used
-    assert rep.nontrivial_point is not None and rep.nontrivial_point[1] > 0
+    assert rep.c0.grid_max > 0
 
 
 def test_flatten_accepted_word_verified_densely():
@@ -300,6 +302,33 @@ def test_flatten_accepted_word_verified_densely():
     dense = float(np.max(np.abs(word_values(rep.v, xs, PP) - xs)))
     assert dense <= rep.c0.certified_bound
     assert dense < 1.0
+
+
+def spellings(letters, alpha, beta):
+    """Every way to write ``letters`` as a sequence of alpha and beta."""
+    if not letters:
+        return [()]
+    return [(name, *rest) for name, block in (("alpha", alpha), ("beta", beta))
+            if letters[:len(block)] == block.letters
+            for rest in spellings(letters[len(block):], alpha, beta)]
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.2, 0.1])
+def test_shipped_witnesses_are_nontrivial_by_ping_pong(epsilon):
+    # alpha and beta are positive words in one sign of a ping-pong pair, so
+    # distinct alpha/beta sequences that each spell one word give distinct
+    # maps; then g1 != g2 and v = W^-1 (g1^-1 g2) W is not the identity.
+    rep = flatten(F, G, CERT, epsilon)
+    assert CERT.valid and rep.status == "success"
+    signs = {letter.sign for letter in rep.alpha.letters + rep.beta.letters}
+    assert len(signs) == 1
+    s1, s2 = (spellings(g.letters, rep.alpha, rep.beta) for g in (rep.g1, rep.g2))
+    assert len(s1) == len(s2) == 1 and s1 != s2
+    core = concat_reduce(invert(rep.g1), rep.g2)
+    assert rep.v == concat_reduce(concat_reduce(invert(rep.w), core), rep.w)
+    # In floats the core moves the middle of [0, 1] far from rounding.
+    xs = np.linspace(0.0, 1.0, 1001)
+    assert np.max(np.abs(word_values(core, xs, PP) - xs)) > 0.06
 
 
 def test_flatten_cap_exhausted_on_tiny_level_budget():
@@ -394,7 +423,7 @@ def _zone_derivs(rep, grid):
 
 
 @pytest.mark.parametrize("grid_n", [None, SCALAR_INVERSE_MAX, 2 * SCALAR_INVERSE_MAX])
-def test_cached_w_grid_gives_the_uncached_report_bitwise(monkeypatch, grid_n):
+def test_cached_w_grid_gives_the_uncached_report_bitwise(monkeypatch, tmp_path, grid_n):
     # The default grid (N + 1 = 7) takes the scalar inverse; N =
     # SCALAR_INVERSE_MAX puts the N + 1 grid points on the array route and
     # the N - 1 interior ones on the scalar route, so W's cached values come
@@ -429,10 +458,11 @@ def test_cached_w_grid_gives_the_uncached_report_bitwise(monkeypatch, grid_n):
     assert level_vs[-1] == rep.v
     assert rep.c0 == c0_dist_to_id(rep.v, grid, PP)
 
-    xs = np.linspace(0.0, 1.0, 10_001)
-    disp = np.abs(word_values(rep.v, xs, PP) - xs)
-    k = int(np.argmax(disp))
-    assert rep.nontrivial_point == (float(xs[k]), float(disp[k]))
+    # nontrivial_at is the accepted C0 check's own argmax and grid maximum.
+    emit_flatten(rep, str(tmp_path))
+    with open(tmp_path / "flatten_detail.csv", newline="") as fh:
+        at = next(csv.DictReader(fh))["nontrivial_at"].split(":")
+    assert _bits([float(v) for v in at]) == _bits([rep.c0.argmax_x, rep.c0.grid_max])
 
     # Theta audit counts at the run's theta_N and at one that about half of
     # the in-zone letters trip.
