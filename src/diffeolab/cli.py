@@ -75,7 +75,7 @@ def _transport_cmd(cfg: ExperimentConfig, out_dir: str):
         time_budget_s=cfg.time_budget_s,
         **_given(p, ival, n_max="n_max", word_cap="word_cap"))
     nf = pair.normal_form if pair is not None else None
-    report = interval_transport_search(S, params, nf=nf)
+    report = interval_transport_search(S, params, nf=nf, threads=cfg.threads)
     paths = reports.emit_transport(report, out_dir)
     return (STATUS_OK if report.status == "found" else STATUS_EXHAUSTED,
             paths, f"transport {report.status}")
@@ -93,7 +93,7 @@ def _collision_cmd(cfg: ExperimentConfig, out_dir: str):
         **_given(p, fval, c1="c1", lam1="lambda1", lam2="lambda2", eta="eta"),
         **_given(p, ival, n_max="n_max", word_cap="word_cap"))
     nf = pair.normal_form if pair is not None else None
-    report = derivative_collision_search(S, params, nf=nf)
+    report = derivative_collision_search(S, params, nf=nf, threads=cfg.threads)
     paths = reports.emit_collision(report, out_dir)
     return (STATUS_OK if report.status == "found" else STATUS_EXHAUSTED,
             paths, f"collision {report.status}")
@@ -102,7 +102,7 @@ def _collision_cmd(cfg: ExperimentConfig, out_dir: str):
 def _wreath_cmd(cfg: ExperimentConfig, out_dir: str):
     from .zassenhaus.wreath import build_wreath_pair
 
-    w = cfg.wreath or cfg.params
+    w = cfg.wreath
     pair = build_wreath_pair(**wreath_args(w))
     probe = None
     if "probe_x0" in w:

@@ -38,7 +38,7 @@ from .errors import ConstructionError, DomainError, NumericError
 INVERSE_TOL = 1e-12
 
 #: Steps of polybump's numeric inverse (``_invert_monotone``): bisection on
-#: [0, 1], then Newton polish.  The spline inverse takes ``_newton_steps``
+#: [0, 1], then Newton polish.  The spline inverse takes ``NEWTON_STEPS``
 #: Newton steps from its table leaf, and bisects down to ``BISECT_STEPS``
 #: levels only to solve again the points whose last step started or ended
 #: above ``INVERSE_TOL`` (``_spline_inverse_block``).
@@ -48,7 +48,7 @@ NEWTON_STEPS = 4
 #: Levels of the spline inverse's table (``_SplineData.tree``): one lookup
 #: brackets each y's root within 2**-TREE_DEPTH of its segment, close enough
 #: for ``NEWTON_STEPS`` steps from the bracket's midpoint unless a knot's
-#: slope is small (``_spline_inverse_block``).
+#: slope is small or the table is shallower (``_spline_inverse_block``).
 TREE_DEPTH = 12
 
 #: Points per block of the array spline inverse: a call is cut into equal
@@ -76,23 +76,23 @@ class Letter(NamedTuple):
         return self.gen if self.sign > 0 else f"{self.gen}^-1"
 
 
-def _as_array(x):
-    a = np.asarray(x, dtype=float)
-    return a, (a.ndim == 0)
+def _checked(fn, x, what: str):
+    """``fn`` at x, once x is checked to lie in [0, 1] (``what`` names it).
 
-
-def _check_domain(a, lo=0.0, hi=1.0, what="x"):
-    # Written as "all inside" so that NaN fails it.
-    if not (np.all(a >= lo) and np.all(a <= hi)):
-        raise DomainError(f"{what} outside [{lo}, {hi}]")
-
-
-def _check_scalar(x, what="x") -> float:
-    """``_check_domain`` for one Python number; returns it as a float."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"{what} outside [0.0, 1.0]")
-    return x
+    A Python number goes to ``fn`` as a float; anything else goes as a
+    float array, and a 0-d result comes back as a float.  Both checks are
+    written as "inside" so that NaN fails them.
+    """
+    if isinstance(x, (float, int)):
+        x = float(x)
+        if 0.0 <= x <= 1.0:
+            return fn(x)
+    else:
+        a = np.asarray(x, dtype=float)
+        if np.all(a >= 0.0) and np.all(a <= 1.0):
+            v = fn(a)
+            return float(v) if a.ndim == 0 else v
+    raise DomainError(f"{what} outside [0.0, 1.0]")
 
 
 @dataclass(frozen=True)
@@ -288,32 +288,17 @@ class GeneratorMap:
 
     # Python numbers take a pure-float path that does the same arithmetic as
     # the array path, so both give bitwise-equal results: the closed forms
-    # run unchanged on floats, polybump's inverse and the spline kernels have
-    # float twins below.
+    # and polybump's inverse run unchanged on floats, and the spline kernels
+    # have float twins below.
 
     def value(self, x):
-        if isinstance(x, (float, int)):
-            return self._value(_check_scalar(x))
-        a, scalar = _as_array(x)
-        _check_domain(a)
-        v = self._value(a)
-        return float(v) if scalar else v
+        return _checked(self._value, x, "x")
 
     def deriv(self, x):
-        if isinstance(x, (float, int)):
-            return self._deriv(_check_scalar(x))
-        a, scalar = _as_array(x)
-        _check_domain(a)
-        v = self._deriv(a)
-        return float(v) if scalar else v
+        return _checked(self._deriv, x, "x")
 
     def inverse(self, y):
-        if isinstance(y, (float, int)):
-            return self._inverse(_check_scalar(y, "y"))
-        a, scalar = _as_array(y)
-        _check_domain(a, what="y")
-        v = self._inverse(a)
-        return float(v) if scalar else v
+        return _checked(self._inverse, y, "y")
 
     def _value(self, a):
         fam = self.family
@@ -348,10 +333,8 @@ class GeneratorMap:
             inv = 1.0 / lam
             return inv * a / ((1.0 - a) + inv * a)
         if fam == "polybump":
-            if isinstance(a, float):
-                return _invert_monotone_scalar(self._value, self._deriv, a)
-            return _invert_monotone(self._value, self._deriv, a,
-                                    np.zeros_like(a), np.ones_like(a))
+            x = _invert_monotone(self._value, self._deriv, a, 0.0, 1.0)
+            return float(x) if isinstance(a, float) else x
         if isinstance(a, float):
             return _spline_inverse_scalar(self._spline, a)
         return _spline_inverse(self._spline, a)
@@ -448,21 +431,22 @@ def _spline_inverse_block(d: _SplineData, y):
     """Newton on each y's segment cubic from the midpoint of its table leaf.
 
     The leaf (``_table_leaves``) brackets the root, and ``_leaf_solve``
-    takes ``_newton_steps`` steps from its midpoint.  Once a step starts
+    takes ``NEWTON_STEPS`` steps from its midpoint.  Once a step starts
     within ``INVERSE_TOL``, Newton squares the residual.  Near a knot whose
     slope is small next to the cubic's curvature times the leaf's width,
-    though, the root can lie outside Newton's quadratic range from the
-    midpoint, and each step only halves the error.  So points whose last
-    step started, or ended, above ``INVERSE_TOL`` are solved again,
-    bisecting their leaf down to ``BISECT_STEPS`` levels before
-    ``NEWTON_STEPS`` steps, and fail only if that ends above it.
-    ``_spline_inverse_scalar`` does the same arithmetic on floats.
+    though, or on a shallower table's wider leaves, the root can lie
+    outside Newton's quadratic range from the midpoint, and each step only
+    halves the error.  So points whose last step started, or ended, above
+    ``INVERSE_TOL`` are solved again, bisecting their leaf down to
+    ``BISECT_STEPS`` levels before ``NEWTON_STEPS`` steps, and fail only if
+    that ends above it.  ``_spline_inverse_scalar`` does the same arithmetic
+    on floats.
     """
     depth, _, bounds = d.tree
     leaf = _table_leaves(d, y)
     lo, hi = np.take(bounds, leaf), np.take(bounds[1:], leaf)
     i = np.right_shift(leaf, depth, out=leaf)  # each point's segment
-    x, resid, far = _leaf_solve(d, y, i, lo, hi, 0, _newton_steps(depth))
+    x, resid, far = _leaf_solve(d, y, i, lo, hi, 0, NEWTON_STEPS)
     if far.any():
         x[far], resid[far], _ = _leaf_solve(d, y[far], i[far], lo[far], hi[far],
                                             BISECT_STEPS - depth, NEWTON_STEPS)
@@ -530,16 +514,6 @@ def _leaf_solve(d: _SplineData, y, i, lo, hi, bisect: int, steps: int):
     np.copyto(x, x0, where=y == y0)
     np.copyto(x, d.xs[-1], where=y == d.ys[-1])
     return x, v, far
-
-
-def _newton_steps(depth: int) -> int:
-    """Newton steps from the leaf of a ``depth``-level table.
-
-    Each step about doubles the correct bits, and ``NEWTON_STEPS`` suffice
-    from a ``TREE_DEPTH`` leaf; a shallower table (a narrow segment's) gets
-    one more step per halving of its depth.
-    """
-    return NEWTON_STEPS + math.ceil(math.log2(TREE_DEPTH / max(depth, 1)))
 
 
 def _table_leaves(d: _SplineData, y):
@@ -614,26 +588,8 @@ def _invert_monotone(value_fn, deriv_fn, y, lo, hi):
     return x
 
 
-# The scalar path: the array code above on Python floats.  ``bisect_right``
+# The scalar path: the spline code above on Python floats.  ``bisect_right``
 # is ``searchsorted(side="right")`` and min/max is ``np.clip``.
-
-def _invert_monotone_scalar(value_fn, deriv_fn, y: float) -> float:
-    """``_invert_monotone`` on one float over the bracket [0, 1]."""
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if value_fn(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(NEWTON_STEPS):
-        x = min(max(x - (value_fn(x) - y) / deriv_fn(x), lo), hi)
-    resid = abs(value_fn(x) - y)
-    if not resid <= INVERSE_TOL:
-        raise NumericError(f"inverse did not converge (residual {resid:g})")
-    return x
-
 
 def _segment(knots, t) -> int:
     return min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
@@ -668,7 +624,7 @@ def _spline_inverse_scalar(d: _SplineData, y: float) -> float:
     m0, m1, a2, a3 = ms[i], ms[i + 1], c2[i], c3[i]
     lo, hi = bounds[leaf], bounds[leaf + 1]
     x, r = 0.5 * (lo + hi), 0.0
-    for _ in range(_newton_steps(depth)):
+    for _ in range(NEWTON_STEPS):
         if x == x1:
             v, dv = y1, m1
         else:
@@ -804,9 +760,6 @@ class GeneratorSet:
         sups = sorted((g.der_sup for g in gens), reverse=True)
         self.m_double = 2.0 * (sups[0] + (sups[1] if len(sups) > 1 else sups[0]))
         self.lip_max = max(letter_bounds(g, s)[2] for g in gens for s in (1, -1))
-
-    def __len__(self):
-        return len(self.generators)
 
     def __getitem__(self, gid: str) -> GeneratorMap:
         try:

@@ -155,7 +155,7 @@ def _bucket_pair(vals, logds, width_v, width_d, nf_of_idx):
 
 
 def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
-                                nf=None) -> CollisionReport:
+                                nf=None, threads: int = 1) -> CollisionReport:
     """Level-by-level bucket search for a star-1/star-2 pair.
 
     ``sphere_orbits`` gives every sphere word's value and derivative at x0;
@@ -164,7 +164,8 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
     accepted when it passes star-1, star-2 and V'(x0) in (1 - C, 1 + C);
     otherwise the search moves on to the next level.  With a normal form
     available, pairs distinct as group elements are preferred and the report
-    certifies distinctness through it.
+    certifies distinctness through it.  ``threads`` goes to
+    ``sphere_orbits``; the report does not depend on it.
     """
     params = params.resolved()
     params.validate()
@@ -178,7 +179,7 @@ def derivative_collision_search(S: GeneratorSet, params: CollisionParams,
     width_d = math.log1p(params.c1)
     big_m = S.lip_max
 
-    orbits = sphere_orbits(S, levels, [params.x0], derivs=True)
+    orbits = sphere_orbits(S, levels, [params.x0], derivs=True, threads=threads)
     for m in range(1, len(levels)):
         if spent():
             report.status = "time_budget"

@@ -71,13 +71,14 @@ class TransportReport:
 
 
 def interval_transport_search(S: GeneratorSet, params: TransportParams,
-                              nf=None) -> TransportReport:
+                              nf=None, threads: int = 1) -> TransportReport:
     """Run the per-level transport sums and the overlap pair search.
 
     ``nf`` optionally maps a word to an exact group normal form; when given,
     pairs with distinct forms are preferred (within ``_find_overlap``'s
     anchor limit), and such a pair's distinctness is certified by the form.
-    Otherwise distinctness falls back to grid separation.
+    Otherwise distinctness falls back to grid separation.  ``threads``
+    goes to ``sphere_orbits``; the report does not depend on it.
     """
     delta = params.delta
     if not (0.0 < delta.lo and delta.hi < 1.0):
@@ -95,7 +96,7 @@ def interval_transport_search(S: GeneratorSet, params: TransportParams,
     lengths = np.array([delta.length])
     all_lo = [np.array([delta.lo])]
     all_hi = [np.array([delta.hi])]
-    orbits = sphere_orbits(S, levels, [delta.lo, delta.hi])
+    orbits = sphere_orbits(S, levels, [delta.lo, delta.hi], threads=threads)
     found = None
     for m in range(1, len(levels)):
         if spent():

@@ -288,6 +288,28 @@ def test_probe_at_radius_12_is_thread_count_invariant(tmp_path):
     assert runs["1"] == runs["3"]
 
 
+@pytest.mark.parametrize("command", ["transport", "collision"])
+def test_searches_run_on_the_requested_threads(tmp_path, monkeypatch, command):
+    # The shipped transport reaches a level of 708,588 rows, past the pool
+    # threshold.  The shipped collision stops at level 1, so its blocks are
+    # made one row long.  Every level reaches the pool with --threads.
+    if command == "collision":
+        monkeypatch.setattr(dl.action, "_PARALLEL_MIN", 1)
+    pools = []
+    blocks = dl.action.map_row_blocks
+    monkeypatch.setattr(dl.action, "map_row_blocks", lambda fn, rows, threads, *args:
+                        pools.append(threads) or blocks(fn, rows, threads, *args))
+    runs = {}
+    for k in ("1", "3"):
+        out = tmp_path / f"t{k}"
+        pools.clear()
+        assert main([command, "--config", cfg_path(f"{command}_wreath.ini"),
+                     "--out", str(out), "--threads", k]) == 0
+        assert set(pools) == {int(k)}
+        runs[k] = hash_dir(out)
+    assert runs["1"] == runs["3"]
+
+
 def test_escape_cap_exit_reports_the_best_point(tmp_path, capsys):
     cfg = tmp_path / "cap.ini"
     cfg.write_text("[experiment]\ncommand = flatten\n\n[generators]\npreset = pp\n\n"

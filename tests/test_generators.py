@@ -13,10 +13,9 @@ from diffeolab.config import build_generator_set, load_config
 import diffeolab.generators as generators
 from diffeolab.generators import (BISECT_STEPS, INVERSE_BLOCK, INVERSE_TOL, NEWTON_STEPS,
                                   SCALAR_INVERSE_MAX, TREE_DEPTH, _invert_monotone,
-                                  _invert_monotone_scalar, _segment_deriv_extrema,
-                                  _spline_deriv, _spline_inverse, _spline_inverse_scalar,
-                                  _spline_value, _table_leaves, build_pp, blend, mobius,
-                                  polybump, spline)
+                                  _segment_deriv_extrema, _spline_deriv, _spline_inverse,
+                                  _spline_inverse_scalar, _spline_value, _table_leaves,
+                                  build_pp, blend, mobius, polybump, spline)
 from diffeolab.errors import ConstructionError, DomainError, NumericError
 from diffeolab.zassenhaus import build_wreath_pair
 
@@ -229,20 +228,21 @@ def horner_deriv(d, a):
     return np.where(a == d.xs[-1], d.ms[-1], dv)
 
 
-def whole_spline_solve(d, y):
+def whole_spline_solve(d, y, resolve_all=False):
     """Reference for the table: the inverse's own solve, read on the whole spline.
 
     The segment search and ``d.tree[0]`` live bisection steps on the whole
-    spline, one segment as bracket, then the clipped Newton steps from the
-    bracket's midpoint.  Points whose last Newton step started or ended
-    above ``INVERSE_TOL`` are solved again with ``BISECT_STEPS`` bisection
-    and ``NEWTON_STEPS`` Newton steps.  Value and slope come from the whole
+    spline, one segment as bracket, then ``NEWTON_STEPS`` clipped Newton
+    steps from the bracket's midpoint.  Points whose last Newton step
+    started or ended above ``INVERSE_TOL`` (every point, with
+    ``resolve_all``) are solved again with ``BISECT_STEPS`` bisection and
+    ``NEWTON_STEPS`` Newton steps.  Value and slope come from the whole
     spline, so at a right knot they are the next segment's.
     """
     i = np.clip(np.searchsorted(d.ys, y, side="right") - 1, 0, len(d.ys) - 2)
-    depth = d.tree[0]
-    x, far = bisect_then_newton(d, y, i, depth, generators._newton_steps(depth))
-    x[far] = bisect_then_newton(d, y[far], i[far], BISECT_STEPS, NEWTON_STEPS)[0]
+    x, far = bisect_then_newton(d, y, i, d.tree[0], generators.NEWTON_STEPS)
+    far |= resolve_all
+    x[far] = bisect_then_newton(d, y[far], i[far], BISECT_STEPS, generators.NEWTON_STEPS)[0]
     assert np.all(residual(d, y, x) <= INVERSE_TOL)
     x = np.where(y == d.ys[i], d.xs[i], x)
     return np.where(y == d.ys[-1], d.xs[-1], x)
@@ -442,26 +442,25 @@ def test_spline_tree_falls_back_to_a_shallower_depth():
     assert np.array_equal(bits(np.concatenate(small)), ref)
 
 
-def test_a_shallow_table_takes_more_newton_steps(monkeypatch):
+def test_a_shallow_table_point_takes_the_re_solve(monkeypatch):
     # A depth-3 table: its leaves are 2^9 times wider than a full table's.
-    # At the top of the last segment four steps leave a residual of 3.7e-13,
-    # and the point would be solved again; the depth gives this table two
-    # more steps, and the first solve lands.
+    # At the top of the last segment NEWTON_STEPS steps from the leaf leave
+    # a residual of 3.7e-13, so the point is solved again, and the
+    # re-solve's bisection lands it.
     g = spline("t", [(0.0, 0.0), (0.7326052432470341, 0.3070569584028871),
                      (0.7326052432470351, 0.3070569584028878), (1.0, 1.0)])
-    assert g._spline.tree[0] == 3 and generators._newton_steps(3) == NEWTON_STEPS + 2
-    assert generators._newton_steps(TREE_DEPTH) == NEWTON_STEPS
+    assert g._spline.tree[0] == 3
     y = 0.9999999999999999
     sizes = []
     solve = generators._leaf_solve
     monkeypatch.setattr(generators, "_leaf_solve",
                         lambda d, y, *args: sizes.append(y.size) or solve(d, y, *args))
-    for x in (g.inverse(y), g.inverse(np.full(INVERSE_BLOCK, y))[0]):
-        assert abs(g.value(x) - y) <= 1.2e-16
-    assert sizes == [INVERSE_BLOCK]
-    monkeypatch.setattr(generators, "_newton_steps", lambda depth: NEWTON_STEPS)
-    g.inverse(np.full(INVERSE_BLOCK, y))
-    assert sizes == [INVERSE_BLOCK] * 3
+    xs = g.inverse(np.full(INVERSE_BLOCK, y))
+    assert sizes == [INVERSE_BLOCK] * 2
+    x = g.inverse(y)
+    assert type(x) is float and sizes[2:] == [1, 1]
+    assert np.max(residual(g._spline, y, xs)) <= 1.2e-16 and abs(g.value(x) - y) <= 1.2e-16
+    assert np.array_equal(bits(xs), bits(np.full(INVERSE_BLOCK, x)))
 
 
 def test_spline_inverse_checks_the_residual_of_the_returned_point(monkeypatch):
@@ -543,24 +542,34 @@ def test_bisection_never_moves_past_the_right_knot(monkeypatch, newton_steps):
     # For y between the cubic's end and the right knot's value y1, a
     # bisection midpoint at x1 reads y1 on the whole spline, so it never
     # counts as below, whatever the segment's own cubic gives: the table
-    # keys it inf, and the re-solve's bisection patches it.  With no Newton
-    # steps from the leaf every point takes the re-solve; its Newton steps
-    # show a bracket that wrongly closed on x1, and a step that skipped the
-    # knot's value.
+    # keys it inf, and the re-solve's bisection patches it.  With the first
+    # solve reporting every point unsettled every point takes the re-solve;
+    # its Newton steps show a bracket that wrongly closed on x1, and a step
+    # that skipped the knot's value.  The scalar path re-solves a point as a
+    # one-point block.
     d = right_knot_spline()
     ys = d.ys[3] - np.linspace(1e-14, 4e-13, 40)
     monkeypatch.setattr(generators, "NEWTON_STEPS", newton_steps)
-    for first in (generators._newton_steps, lambda depth: 0):
-        monkeypatch.setattr(generators, "_newton_steps", first)
-        ref = bits(whole_spline_solve(d, ys))
-        assert np.array_equal(bits(_spline_inverse(d, ys)), ref)
-        assert np.array_equal(bits(scalar_inverse(d, ys)), ref)
+    ref = bits(whole_spline_solve(d, ys))
+    assert np.array_equal(bits(_spline_inverse(d, ys)), ref)
+    assert np.array_equal(bits(scalar_inverse(d, ys)), ref)
+    solve = generators._leaf_solve
+
+    def unsettled(d, y, *args):
+        x, resid, _ = solve(d, y, *args)
+        return x, resid, np.ones(y.shape, bool)
+
+    monkeypatch.setattr(generators, "_leaf_solve", unsettled)
+    ref = bits(whole_spline_solve(d, ys, resolve_all=True))
+    assert np.array_equal(bits(_spline_inverse(d, ys)), ref)
+    one_point_blocks = [generators._spline_inverse_block(d, ys[k:k + 1]) for k in range(ys.size)]
+    assert np.array_equal(bits(np.concatenate(one_point_blocks)), ref)
 
 
 def test_shipped_splines_use_the_full_tree():
     # The splines of every config in configs/ (none defines a blend) and
-    # those of spline_maps all look up TREE_DEPTH levels, so they take
-    # NEWTON_STEPS steps.
+    # those of spline_maps all look up TREE_DEPTH levels, the depth that
+    # NEWTON_STEPS steps from a leaf are made for.
     maps = {}
     for path in sorted((Path(__file__).parent.parent / "configs").glob("*.ini")):
         cfg = load_config(str(path))
@@ -592,7 +601,7 @@ def test_inverse_residual_check_fails_closed_on_nan():
         _invert_monotone(lambda t: t * math.nan, np.ones_like,
                          np.array([0.5]), 0.0, 1.0)
     with pytest.raises(NumericError):
-        _invert_monotone_scalar(lambda t: t * math.nan, lambda t: 1.0, 0.5)
+        _invert_monotone(lambda t: t * math.nan, lambda t: 1.0, 0.5, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [33, 2 * INVERSE_BLOCK - 1, 2 * INVERSE_BLOCK, 5 * INVERSE_BLOCK + 7])
@@ -692,7 +701,7 @@ def test_live_steps_test_the_right_knot_only_from_a_segments_last_leaf(monkeypat
         ref = bits(whole_spline_solve(d, block))
         hits.clear()
         assert np.array_equal(bits(_spline_inverse(d, block)), ref)
-        assert len(hits) == generators._newton_steps(depth) + 1
+        assert len(hits) == NEWTON_STEPS + 1
         assert all(in_last[k].all() for k in hits)
     if name == "right_knot":  # the cubic ends below y1: Newton meets x1
         assert sum(k.size for k in hits) > 0
