@@ -23,7 +23,9 @@ from .words import Word, level_word, sphere_levels
 #: Orbit points may leave [0, 1] by at most this much before it is an error.
 CLAMP_TOL = 1e-12
 
-_PARALLEL_MIN = 1 << 16
+#: Elements per row block of ``map_row_blocks``, which kernels take whole:
+#: smaller blocks pay more numpy call overhead, larger ones more memory.
+_PARALLEL_MIN = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -50,11 +49,6 @@ NEWTON_STEPS = 4
 #: for ``NEWTON_STEPS`` steps from the bracket's midpoint unless a knot's
 #: slope is small or the table is shallower (``_spline_inverse_block``).
 TREE_DEPTH = 12
-
-#: Points per block of the array spline inverse: a call is cut into equal
-#: blocks of this to twice this many points, which keeps its temporaries at
-#: a few arrays of that length whatever the input size.
-INVERSE_BLOCK = 8192
 
 #: Arrays up to this size are inverted point by point on the scalar path: on
 #: `pp`'s splines a point costs about 4 us there, and one block about 70 us
@@ -154,16 +148,11 @@ class _SplineData:
         the widest bucket.  ``halves`` are the steps of a branch-free binary
         search over those W + 1 counts, and ``start`` is lowered to at most
         ``keys.size - W``, which keeps every key the search reads in the
-        table.  ``start`` is built a part at a time, so that no temporary
-        outgrows it.
+        table.
         """
         keys = self.tree[1]
         scale = 1 << round(math.log2(keys.size))
-        start = np.empty(scale + 1, np.int32)
-        first = 0
-        for part in np.array_split(start, 8):
-            part[:] = np.searchsorted(keys, np.arange(first, first + part.size) / scale)
-            first += part.size
+        start = np.searchsorted(keys, np.arange(scale + 1) / scale).astype(np.int32)
         widest = int(np.max(np.diff(start)))
         np.minimum(start, keys.size - widest, out=start)
         halves, count = [], widest + 1
@@ -333,8 +322,7 @@ class GeneratorMap:
             inv = 1.0 / lam
             return inv * a / ((1.0 - a) + inv * a)
         if fam == "polybump":
-            x = _invert_monotone(self._value, self._deriv, a, 0.0, 1.0)
-            return float(x) if isinstance(a, float) else x
+            return _invert_monotone(self._value, self._deriv, a, 0.0, 1.0)
         if isinstance(a, float):
             return _spline_inverse_scalar(self._spline, a)
         return _spline_inverse(self._spline, a)
@@ -408,22 +396,13 @@ def _spline_horner(d: _SplineData, a, coefs, end):
 
 
 def _spline_inverse(d: _SplineData, y):
-    """Inverse of the spline, point by point on small inputs, else by blocks.
-
-    A call is cut into ``max(1, size // INVERSE_BLOCK)`` blocks of equal
-    size, so no block reaches ``2 * INVERSE_BLOCK`` points.
-    """
+    """Inverse of the spline, point by point on small inputs, else as one
+    block; only ``action.map_row_blocks`` cuts arrays."""
     flat = y.reshape(-1)
-    blocks = max(1, flat.size // INVERSE_BLOCK)
     if flat.size <= SCALAR_INVERSE_MAX:
         out = np.array([_spline_inverse_scalar(d, t) for t in flat.tolist()], dtype=float)
-    elif blocks == 1:
-        out = _spline_inverse_block(d, flat)
     else:
-        out = np.empty(flat.shape)
-        cuts = np.linspace(0, flat.size, blocks + 1).astype(int).tolist()
-        for a, b in pairwise(cuts):
-            out[a:b] = _spline_inverse_block(d, flat[a:b])
+        out = _spline_inverse_block(d, flat)
     return out.reshape(y.shape)
 
 
@@ -520,7 +499,8 @@ def _table_leaves(d: _SplineData, y):
     """Each y's leaf of ``d.tree``: ``searchsorted(keys, y, side="left") - 1``.
 
     y that do not decrease keep ``searchsorted``, which reuses each
-    bracket for the next point.  Otherwise each y starts at
+    bracket for the next point; the bucket index, no faster end to end
+    there, is then never built.  Otherwise each y starts at
     ``start[floor(y * scale)]`` of the bucket index ``d.leaf_buckets`` and
     takes its branch-free halvings, each ``leaf += half * (keys[leaf + half
     - 1] < y)``; this gives the same counts.  Every index is in range (the
@@ -572,18 +552,22 @@ def _check_residual(resid):
 
 
 def _invert_monotone(value_fn, deriv_fn, y, lo, hi):
-    """Safeguarded bisection plus Newton polish for a monotone map."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
+    """Safeguarded bisection plus Newton polish for a monotone map, on
+    floats for a float y and on arrays for an array, with the same bits.
+
+    The bracket moves by ``max(lo, mid * below)`` and ``min(hi, mid +
+    below)``, exact as ``0 <= lo <= mid <= hi <= 1``.
+    """
+    up, down = (max, min) if isinstance(y, float) else (np.maximum, np.minimum)
     for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         below = value_fn(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        lo = up(lo, mid * below)
+        hi = down(hi, mid + below)
     x = 0.5 * (lo + hi)
     for _ in range(NEWTON_STEPS):
         step = (value_fn(x) - y) / deriv_fn(x)
-        x = np.clip(x - step, lo, hi)
+        x = down(up(x - step, lo), hi)
     _check_residual(np.abs(value_fn(x) - y))
     return x
 

@@ -9,6 +9,7 @@ sign first, words by length then lexicographically.
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -212,5 +213,7 @@ class BallStats:
 def growth_stats(S: GeneratorSet, n: int) -> BallStats:
     sizes = tuple(sphere_size(len(S.generators), m) for m in range(n + 1))
     ball = sum(sizes)
+    if n < 0 or ball > sys.float_info.max:
+        raise DomainError(f"growth needs a radius n >= 0 whose ball size fits a float, not {n}")
     return BallStats(n=n, sphere_sizes=sizes,
                      omega_estimate=ball ** (1.0 / n) if n else 1.0)

@@ -274,6 +274,18 @@ def test_growth_and_certify(tmp_path):
                  "--out", str(tmp_path / "c")]) == 0
 
 
+@pytest.mark.parametrize("n", [-1, 2000])
+def test_growth_radius_out_of_range_is_a_precondition_error(tmp_path, capsys, n):
+    # -1 has an empty ball; at 2000 the ball's size overflows a float.
+    cfg = tmp_path / "growth.ini"
+    cfg.write_text("[experiment]\ncommand = growth\n\n[generators]\npreset = pp\n\n"
+                   f"[growth]\nn = {n}\n")
+    out = tmp_path / "o"
+    assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().out.startswith("precondition: ")
+
+
 def test_probe_at_radius_12_is_thread_count_invariant(tmp_path):
     # The outermost level has 708,588 rows, past the pool threshold, so the
     # three-thread run streams it in blocks on the pool.

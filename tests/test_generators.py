@@ -11,7 +11,7 @@ import pytest
 import diffeolab as dl
 from diffeolab.config import build_generator_set, load_config
 import diffeolab.generators as generators
-from diffeolab.generators import (BISECT_STEPS, INVERSE_BLOCK, INVERSE_TOL, NEWTON_STEPS,
+from diffeolab.generators import (BISECT_STEPS, INVERSE_TOL, NEWTON_STEPS,
                                   SCALAR_INVERSE_MAX, TREE_DEPTH, _invert_monotone,
                                   _segment_deriv_extrema, _spline_deriv, _spline_inverse,
                                   _spline_inverse_scalar, _spline_value, _table_leaves,
@@ -412,9 +412,9 @@ def test_float_path_bitwise_equals_array_path_every_family(gmap):
             op(math.nan)
 
 
-@pytest.mark.parametrize("n", [SCALAR_INVERSE_MAX, 2 * SCALAR_INVERSE_MAX, INVERSE_BLOCK + 1])
+@pytest.mark.parametrize("n", [SCALAR_INVERSE_MAX, 2 * SCALAR_INVERSE_MAX, 8193])
 def test_spline_inverse_keeps_shape_and_values(n):
-    # Point by point, one small block, and two blocks.
+    # Point by point, one small block, and one large block.
     f = build_pp()["f"]
     ys = np.random.default_rng(3).random(n)
     flat = f.inverse(ys)
@@ -455,12 +455,12 @@ def test_a_shallow_table_point_takes_the_re_solve(monkeypatch):
     solve = generators._leaf_solve
     monkeypatch.setattr(generators, "_leaf_solve",
                         lambda d, y, *args: sizes.append(y.size) or solve(d, y, *args))
-    xs = g.inverse(np.full(INVERSE_BLOCK, y))
-    assert sizes == [INVERSE_BLOCK] * 2
+    xs = g.inverse(np.full(8192, y))
+    assert sizes == [8192] * 2
     x = g.inverse(y)
     assert type(x) is float and sizes[2:] == [1, 1]
     assert np.max(residual(g._spline, y, xs)) <= 1.2e-16 and abs(g.value(x) - y) <= 1.2e-16
-    assert np.array_equal(bits(xs), bits(np.full(INVERSE_BLOCK, x)))
+    assert np.array_equal(bits(xs), bits(np.full(8192, x)))
 
 
 def test_spline_inverse_checks_the_residual_of_the_returned_point(monkeypatch):
@@ -592,7 +592,7 @@ def test_nan_input_raises_domain_error(gmap):
 
 def test_inverse_residual_check_fails_closed_on_nan():
     d = build_pp()["f"]._spline
-    for n in (1, INVERSE_BLOCK):
+    for n in (1, 8192):
         ys = np.full(n, 0.5)
         ys[-1] = math.nan
         with pytest.raises(NumericError):
@@ -604,8 +604,10 @@ def test_inverse_residual_check_fails_closed_on_nan():
         _invert_monotone(lambda t: t * math.nan, lambda t: 1.0, 0.5, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("n", [33, 2 * INVERSE_BLOCK - 1, 2 * INVERSE_BLOCK, 5 * INVERSE_BLOCK + 7])
-def test_inverse_blocks_stay_below_twice_the_block_size(monkeypatch, n):
+@pytest.mark.parametrize("n", [33, 16383, 16384, 40967, dl.action._PARALLEL_MIN])
+def test_an_array_inverse_is_one_block_call(monkeypatch, n):
+    # map_row_blocks is the only code that cuts arrays, so a whole row
+    # block, or any larger array, is one block solve.
     sizes = []
     block = generators._spline_inverse_block
 
@@ -615,11 +617,10 @@ def test_inverse_blocks_stay_below_twice_the_block_size(monkeypatch, n):
 
     d = build_pp()["g"]._spline
     ys = np.random.default_rng(n).random(n)
-    ref = bits(block(d, ys))  # one block of them all
+    ref = bits(block(d, ys))
     monkeypatch.setattr(generators, "_spline_inverse_block", spy)
     assert np.array_equal(bits(_spline_inverse(d, ys)), ref)
-    assert sum(sizes) == n and max(sizes) < 2 * INVERSE_BLOCK
-    assert len(sizes) == max(1, n // INVERSE_BLOCK) and max(sizes) - min(sizes) <= 1
+    assert sizes == [n]
 
 
 def test_pool_threads_give_the_one_thread_bits(monkeypatch):
@@ -644,7 +645,7 @@ def sorted_blocks(d):
     """
     steps = np.repeat([-1, 0, 1], [2730, 2731, 2731])
     blocks = [np.clip(y + steps * math.ulp(y), 0.0, 1.0) for y in d.ys.tolist()]
-    blocks.append(np.sort(0.37 + 1e-9 * np.random.default_rng(13).random(INVERSE_BLOCK)))
+    blocks.append(np.sort(0.37 + 1e-9 * np.random.default_rng(13).random(8192)))
     if len(d.ys) == 6:
         blocks.append(np.sort(np.repeat(d.ys[3] - np.linspace(1e-14, 4e-13, 32), 256)))
     return blocks
@@ -748,7 +749,7 @@ def test_bucket_index_gives_the_searchsorted_leaves(name, d):
 
 def test_only_blocks_that_decrease_read_the_bucket_index():
     d = dataclasses.replace(build_pp()["f"]._spline)
-    y = np.sort(np.random.default_rng(14).random(INVERSE_BLOCK))
+    y = np.sort(np.random.default_rng(14).random(8192))
     for block in (y, y[::-1][:SCALAR_INVERSE_MAX], np.repeat(y[:100], 3)):
         assert np.array_equal(bits(_spline_inverse(d, block)), bits(scalar_inverse(d, block)))
     assert "leaf_buckets" not in vars(d)
@@ -757,7 +758,7 @@ def test_only_blocks_that_decrease_read_the_bucket_index():
     assert "leaf_buckets" in vars(d)
 
 
-@pytest.mark.parametrize("n", [2 * SCALAR_INVERSE_MAX, INVERSE_BLOCK])
+@pytest.mark.parametrize("n", [2 * SCALAR_INVERSE_MAX, 8192])
 def test_bucket_index_fails_closed_on_nan(n):
     d = build_pp()["f"]._spline
     y = np.random.default_rng(n).random(n)

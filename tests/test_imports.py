@@ -95,12 +95,13 @@ def test_every_helper_is_read():
 def readers(sources: dict[str, str], name: str) -> set[str]:
     """``module:definition`` of each top-level function or class of
     ``sources`` that reads ``name`` as a name or an attribute, and
-    ``module:`` for a read outside them."""
+    ``module:`` for a read outside them.  Assigning ``name`` is no read."""
     found = set()
     for label, source in sources.items():
         for top in ast.parse(source).body:
-            if any(isinstance(n, ast.Name) and n.id == name
-                   or isinstance(n, ast.Attribute) and n.attr == name
+            if any((isinstance(n, ast.Name) and n.id == name
+                    or isinstance(n, ast.Attribute) and n.attr == name)
+                   and isinstance(n.ctx, ast.Load)
                    for n in ast.walk(top)):
                 found.add(f"{label}:{top.name if isinstance(top, DEFS) else ''}")
     return found
@@ -110,7 +111,8 @@ def test_readers_finds_each_scope():
     sources = {"a": ("import numpy as np\nfrom x import sort\n"
                      "def f():\n    return np.sort\n"
                      "def g():\n    def h():\n        return sort\n    return h\n"
-                     "k = sort\n")}
+                     "k = sort\n"),
+               "b": "sort = 0\n"}
     assert readers(sources, "sort") == {"a:f", "a:g", "a:"}
 
 
@@ -119,11 +121,13 @@ def test_readers_finds_each_scope():
     ("ThreadPoolExecutor", "diffeolab/action.py:map_row_blocks"),
     ("_fill_level", "diffeolab/action.py:sphere_orbits"),
     ("leaf_buckets", "diffeolab/generators.py:_table_leaves"),
+    ("_PARALLEL_MIN", "diffeolab/action.py:map_row_blocks"),
 ])
 def test_one_helper_reads_the_primitive(name, reader):
     # One bucket sort for flatten and collision, one thread-chunking helper,
     # one sphere propagator for transport, collision and the probe, one
-    # bucket-index lookup for the array spline inverse.
+    # bucket-index lookup for the array spline inverse, and one block size,
+    # read where arrays are cut.
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     assert readers(sources, name) == {reader}
 
