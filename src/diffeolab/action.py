@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .generators import (GeneratorSet, Letter, letter_bounds, letter_deriv,
-                         letter_value)
+                         letter_step, letter_value)
 from .words import Word, level_word, sphere_levels
 
 #: Orbit points may leave [0, 1] by at most this much before it is an error.
@@ -102,19 +102,34 @@ def apply_word(w: Word, x: float, S: GeneratorSet) -> OrbitTrace:
 
 
 def word_values(w: Word, xs: np.ndarray, S: GeneratorSet) -> np.ndarray:
-    """Vectorized w(xs); points are clipped to [0,1] after each letter."""
+    """Vectorized w(xs); points are clipped to [0,1] after each letter.
+
+    ``map_row_blocks`` cuts the points at one thread, so no letter's
+    temporaries grow with them.
+    """
     ys = np.array(xs, dtype=float)
-    for *_, ys in orbit(w, ys, S):
-        pass
+    flat = ys.reshape(-1)
+
+    def block(a, b):
+        y = flat[a:b]
+        for *_, y in orbit(w, y, S):
+            pass
+        flat[a:b] = y
+
+    map_row_blocks(block, flat.size, 1)
     return ys
 
 
 def word_values_derivs(w: Word, xs: np.ndarray, S: GeneratorSet):
-    """Vectorized (w(xs), w'(xs)); derivative by sequential chain product."""
+    """Vectorized (w(xs), w'(xs)) by ``letter_step``: values clipped to
+    [0, 1] after each letter as ``orbit`` clips them, and the derivative a
+    sequential chain product."""
     ys = np.array(xs, dtype=float)
     ds = np.ones_like(ys)
-    for g, sign, x, ys in orbit(w, ys, S):
-        ds *= letter_deriv(g, sign, x, ys)
+    for letter in reversed(w.letters):
+        ys, d = letter_step(S[letter.gen], letter.sign, ys)
+        ys = np.clip(ys, 0.0, 1.0)
+        ds *= d
     return ys, ds
 
 
@@ -231,7 +246,8 @@ def _fill_level(S: GeneratorSet, lev, prev, outs, start: int,
     point the derivatives.  A row's value is its leading letter at its
     suffix row's value, clipped to [0, 1] in place as ``orbit`` clips
     arrays; its derivative is that letter's derivative there times the
-    suffix row's, in ``apply_word``'s multiply order.
+    suffix row's, in ``apply_word``'s multiply order.  With ``derivs`` one
+    ``letter_step`` gives both.
     """
     stop = start + len(outs[0])
     k = len(prev) // (1 + derivs)
@@ -243,11 +259,13 @@ def _fill_level(S: GeneratorSet, lev, prev, outs, start: int,
                 continue
             part = slice(src.start + a - rows.start, src.start + b - rows.start)
             for i in range(k):
-                x, y = prev[i][part], outs[i][a - start:b - start]
-                np.clip(letter_value(g, sign, x), 0.0, 1.0, out=y)
+                x = prev[i][part]
                 if derivs:
-                    np.multiply(letter_deriv(g, sign, x, y), prev[k + i][part],
-                                out=outs[k + i][a - start:b - start])
+                    y, dy = letter_step(g, sign, x)
+                    np.multiply(dy, prev[k + i][part], out=outs[k + i][a - start:b - start])
+                else:
+                    y = letter_value(g, sign, x)
+                np.clip(y, 0.0, 1.0, out=outs[i][a - start:b - start])
 
 
 def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
@@ -344,12 +362,16 @@ class _MinTracker:
 
     def update(self, vals: np.ndarray, n: int, offset: int = 0):
         """Fold in level ``n``'s rows ``offset, offset + 1, ...``; blocks of a
-        level must come in row order, so ties keep the first row."""
-        zero = vals <= ZERO_TOL
-        self.zero_count += int(np.count_nonzero(zero))
-        self.min_positive = min(self.min_positive, float(
-            np.min(vals, where=~zero, initial=math.inf)))
+        level must come in row order, so ties keep the first row.  Only a
+        block whose minimum is at or below ``ZERO_TOL``, or NaN, is scanned
+        for such values; otherwise that minimum is the positive floor."""
         k = int(np.argmin(vals))
+        low = vals[k]
+        if not low > ZERO_TOL:
+            zero = vals <= ZERO_TOL
+            self.zero_count += int(np.count_nonzero(zero))
+            low = np.min(vals, where=~zero, initial=math.inf)
+        self.min_positive = min(self.min_positive, float(low))
         if vals[k] < self.value:
             self.value = float(vals[k])
             self.where = (n, offset + k)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,8 +51,9 @@ NEWTON_STEPS = 4
 TREE_DEPTH = 12
 
 #: Arrays up to this size are inverted point by point on the scalar path: on
-#: `pp`'s splines a point costs about 4 us there, and one block about 70 us
-#: sorted and 90 us unsorted, so blocks win from about 17 and 22 points.
+#: `pp`'s splines a point costs about 4 us there, and one block of 16 to 32
+#: points 77-81 us sorted and 95-99 us unsorted, so blocks win from about
+#: 20 and 24 points; at 24, flatten_pp's wall time moved by under 2 %.
 SCALAR_INVERSE_MAX = 16
 
 
@@ -75,7 +76,8 @@ def _checked(fn, x, what: str):
 
     A Python number goes to ``fn`` as a float; anything else goes as a
     float array, and a 0-d result comes back as a float.  Both checks are
-    written as "inside" so that NaN fails them.
+    written as "inside" so that NaN fails them; an array's takes two
+    reductions, whose ``initial`` lets an empty array pass.
     """
     if isinstance(x, (float, int)):
         x = float(x)
@@ -83,7 +85,7 @@ def _checked(fn, x, what: str):
             return fn(x)
     else:
         a = np.asarray(x, dtype=float)
-        if np.all(a >= 0.0) and np.all(a <= 1.0):
+        if a.min(initial=0.0) >= 0.0 and a.max(initial=1.0) <= 1.0:
             v = fn(a)
             return float(v) if a.ndim == 0 else v
     raise DomainError(f"{what} outside [0.0, 1.0]")
@@ -160,6 +162,19 @@ class _SplineData:
             halves.append(count // 2)
             count -= count // 2
         return scale, start, tuple(halves)
+
+    @cached_property
+    def value_coefs(self) -> tuple:
+        """The value's Horner coefficients, highest degree first, one entry
+        per knot: the right endpoint is a segment of its own, whose zero
+        cubic and quadratic terms give ys[-1] exactly at s == 0."""
+        return np.append(self.c3, 0.0), np.append(self.c2, 0.0), self.ms, self.ys
+
+    @cached_property
+    def deriv_coefs(self) -> tuple:
+        """The slope's Horner coefficients, padded as ``value_coefs``."""
+        c3, c2, ms, _ = self.value_coefs
+        return 3 * c3, 2 * c2, ms
 
     @cached_property
     def tree_views(self) -> tuple:
@@ -365,34 +380,61 @@ class GeneratorMap:
 
 def _spline_value(d: _SplineData, a):
     """``ys[i] + s*(ms[i] + s*(c2[i] + s*c3[i]))`` with s = a - xs[i]."""
-    return _spline_horner(d, a, (d.c3, d.c2, d.ms, d.ys), d.ys[-1])
+    return _horner(*_segments(d, a), d.value_coefs).reshape(a.shape)
 
 
 def _spline_deriv(d: _SplineData, a):
     """``ms[i] + s*(2*c2[i] + 3*c3[i]*s)`` with s = a - xs[i]."""
-    return _spline_horner(d, a, (3 * d.c3, 2 * d.c2, d.ms), d.ms[-1])
+    return _horner(*_segments(d, a), d.deriv_coefs).reshape(a.shape)
 
 
-def _spline_horner(d: _SplineData, a, coefs, end):
-    """Horner in s over ``coefs`` (highest degree first) at each point's segment.
-
-    Coefficients are gathered one at a time into one buffer and every step
-    runs in place, rounding as the plain expression does; the right endpoint
-    gives ``end`` exactly (interior knots already are: s == 0).
-    """
+def _segments(d: _SplineData, a):
+    """(i, s) of the points of a, flattened: each one's segment i, the last
+    i with xs[i] <= a, and s = a - xs[i].  The right endpoint is a segment
+    of its own, and a point in [0, 1] (or NaN) always has one."""
     flat = a.reshape(-1)
     i = np.searchsorted(d.xs, flat, side="right")
     i -= 1
-    np.clip(i, 0, len(d.xs) - 2, out=i)
     s = np.take(d.xs, i)
     np.subtract(flat, s, out=s)
+    return i, s
+
+
+def _horner(i, s, coefs):
+    """Horner in s over ``coefs`` (highest degree first) at segments i.
+
+    Coefficients are gathered one at a time into one buffer and every step
+    runs in place, rounding as the plain expression does; at s == 0, as on
+    every knot, the result is the last coefficient exactly.
+    """
     out = np.take(coefs[0], i)
     part = np.empty_like(out)
     for c in coefs[1:]:
         out *= s
         out += np.take(c, i, out=part, mode="clip")
-    np.copyto(out, end, where=flat == d.xs[-1])
-    return out.reshape(a.shape)
+    return out
+
+
+def _spline_step(d: _SplineData, sign: int, a):
+    """``letter_step`` of a spline letter on an array: the value and slope
+    over one segment search, or the inverse and ``1 / g'`` there over the
+    segments that its solve found.
+
+    A root x at its segment's right knot x1 takes the next segment at
+    s == 0, as ``_segments`` does, so its slope is bitwise ``_spline_deriv``'s.
+    """
+    flat = a.reshape(-1)
+    if sign > 0:
+        i, s = _segments(d, flat)
+        y, dy = _horner(i, s, d.value_coefs), _horner(i, s, d.deriv_coefs)
+    else:
+        y, i = _spline_inverse_block(d, flat)
+        i += y == np.take(d.xs[1:], i)
+        s = np.take(d.xs, i)
+        np.subtract(y, s, out=s)
+        dy = _horner(i, s, d.deriv_coefs)
+        np.divide(1.0, dy, out=dy)
+    return y.reshape(a.shape), dy.reshape(a.shape)
 
 
 def _spline_inverse(d: _SplineData, y):
@@ -402,12 +444,13 @@ def _spline_inverse(d: _SplineData, y):
     if flat.size <= SCALAR_INVERSE_MAX:
         out = np.array([_spline_inverse_scalar(d, t) for t in flat.tolist()], dtype=float)
     else:
-        out = _spline_inverse_block(d, flat)
+        out = _spline_inverse_block(d, flat)[0]
     return out.reshape(y.shape)
 
 
 def _spline_inverse_block(d: _SplineData, y):
-    """Newton on each y's segment cubic from the midpoint of its table leaf.
+    """Newton on each y's segment cubic from the midpoint of its table leaf;
+    returns the roots and their segments.
 
     The leaf (``_table_leaves``) brackets the root, and ``_leaf_solve``
     takes ``NEWTON_STEPS`` steps from its midpoint.  Once a step starts
@@ -430,7 +473,7 @@ def _spline_inverse_block(d: _SplineData, y):
         x[far], resid[far], _ = _leaf_solve(d, y[far], i[far], lo[far], hi[far],
                                             BISECT_STEPS - depth, NEWTON_STEPS)
     _check_residual(resid)
-    return x
+    return x, i
 
 
 def _leaf_solve(d: _SplineData, y, i, lo, hi, bisect: int, steps: int):
@@ -443,23 +486,25 @@ def _leaf_solve(d: _SplineData, y, i, lo, hi, bisect: int, steps: int):
     the cubic, rounded as in ``_spline_value``, and its derivative.  At the
     segment's right knot x1 the spline switches to the next segment, where
     s == 0 gives exactly that knot's value y1 and slope m1, and
-    ``_patch_at_knot`` does the same here.  The residual is taken the same
-    way at the final x, which lies in [x0, x1], so it is bitwise that of
-    ``_spline_value(d, x)``; then a y equal to its left knot's value, or to
-    1, gets that knot exactly.
+    ``_patch_at_knot`` does the same here.  Every iterate lies in the
+    bracket, so only points whose bracket ends at x1 (a segment's last
+    leaf) can reach it, and only those are tested.  The residual is taken
+    the same way at the final x, which lies in [x0, x1], so it is bitwise
+    that of ``_spline_value(d, x)``; then a y equal to its left knot's
+    value, or to 1, gets that knot exactly.
     """
+    edge = np.flatnonzero(hi == np.take(d.xs[1:], i))
+    x1, y1, m1 = (np.take(a[1:], i[edge]) for a in (d.xs, d.ys, d.ms))
     # Arrays are made in the order their predecessors die, so that a
     # block reuses its own freed memory instead of touching fresh pages.
     x0, y0, m0, c2, c3 = (np.take(a, i) for a in (d.xs, d.ys, d.ms, d.c2, d.c3))
-    x1 = np.take(d.xs[1:], i)
-    y1, m1 = d.ys[1:], d.ms[1:]  # read at i only where x == x1
     x, s, v, dv = np.empty_like(y), np.empty_like(y), np.empty_like(y), np.empty_like(y)
     far = np.zeros(y.shape, bool)
     for _ in range(bisect):
         np.add(lo, hi, out=x)
         x *= 0.5
         np.subtract(x, x0, out=s)
-        _patch_at_knot(x, x1, i, (_cubic(s, y0, m0, c2, c3, out=v), y1))
+        _patch_at_knot(x, edge, x1, (_cubic(s, y0, m0, c2, c3, out=v), y1))
         below = v < y
         np.copyto(lo, x, where=below)
         np.copyto(hi, x, where=~below)
@@ -467,9 +512,8 @@ def _leaf_solve(d: _SplineData, y, i, lo, hi, bisect: int, steps: int):
     x *= 0.5
     for left in range(steps, 0, -1):
         np.subtract(x, x0, out=s)
-        np.multiply(s, c3, out=v)
-        v += c2
         np.multiply(s, c3, out=dv)
+        np.add(dv, c2, out=v)
         dv += v
         v *= s
         v += m0
@@ -477,15 +521,16 @@ def _leaf_solve(d: _SplineData, y, i, lo, hi, bisect: int, steps: int):
         dv += v
         v *= s
         v += y0
-        _patch_at_knot(x, x1, i, (v, y1), (dv, m1))
+        _patch_at_knot(x, edge, x1, (v, y1), (dv, m1))
         v -= y
         if left == 1:
             np.greater(np.abs(v, out=s), INVERSE_TOL, out=far)
         v /= dv
         x -= v
-        np.clip(x, lo, hi, out=x)
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
     np.subtract(x, x0, out=s)
-    _patch_at_knot(x, x1, i, (_cubic(s, y0, m0, c2, c3, out=v), y1))
+    _patch_at_knot(x, edge, x1, (_cubic(s, y0, m0, c2, c3, out=v), y1))
     v -= y
     np.abs(v, out=v)
     far |= ~(v <= INVERSE_TOL)
@@ -525,13 +570,13 @@ def _table_leaves(d: _SplineData, y):
     return leaf
 
 
-def _patch_at_knot(x, x1, i, *pairs):
-    """Where x == x1, set each ``out`` of ``pairs`` to its ``knots[i]``."""
-    at_knot = x == x1
-    if at_knot.any():
-        k = i[at_knot]
-        for out, knots in pairs:
-            out[at_knot] = knots[k]
+def _patch_at_knot(x, edge, x1, *pairs):
+    """Where ``x[edge] == x1``, set each ``out`` of ``pairs`` to its
+    ``knot`` value; x1 and each ``knot`` are given at the points ``edge``."""
+    hit = x[edge] == x1
+    if hit.any():
+        for out, knot in pairs:
+            out[edge[hit]] = knot[hit]
 
 
 def _cubic(s, y0, m0, c2, c3, out):
@@ -621,7 +666,7 @@ def _spline_inverse_scalar(d: _SplineData, y: float) -> float:
         r = v - y
         x = min(max(x - r / dv, lo), hi)
     if not (abs(r) <= INVERSE_TOL and abs(_spline_value_scalar(d, x) - y) <= INVERSE_TOL):
-        return float(_spline_inverse_block(d, np.array([y]))[0])
+        return float(_spline_inverse_block(d, np.array([y]))[0][0])
     if y == y0:
         return x0
     return xs[-1] if y == ys[-1] else x
@@ -719,6 +764,21 @@ def letter_deriv(g: GeneratorMap, sign: int, x, y):
     """The letter's derivative at x, given its value y there: g'(x) for g,
     and 1 / g'(y) for g^-1, whose value y is the preimage already solved."""
     return g.deriv(x) if sign > 0 else 1.0 / g.deriv(y)
+
+
+def letter_step(g: GeneratorMap, sign: int, x):
+    """The letter's values at the array x and its derivatives there, bitwise
+    ``letter_value(g, sign, x)`` and ``letter_deriv(g, sign, x, y)`` at those
+    values y clipped to [0, 1].
+
+    A spline letter on more than ``SCALAR_INVERSE_MAX`` points finds each
+    point's segment once for both (``_spline_step``); its inverse values lie
+    in [0, 1] already.
+    """
+    if g._spline is None or np.size(x) <= SCALAR_INVERSE_MAX:
+        y = letter_value(g, sign, x)
+        return y, letter_deriv(g, sign, x, np.clip(y, 0.0, 1.0))
+    return _checked(partial(_spline_step, g._spline, sign), x, "x" if sign > 0 else "y")
 
 
 class GeneratorSet:

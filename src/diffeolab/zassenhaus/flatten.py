@@ -76,14 +76,15 @@ class FlattenReport:
     grid_n: int
     theta_n: float
     delta: float
-    swapped: bool
-    case: int
-    alpha: Word
-    beta: Word
-    z0: float
-    z: float
-    w: Word
-    m: int
+    # None when the escape search stops at its cap (the stop is in notes).
+    swapped: bool | None = None
+    case: int | None = None
+    alpha: Word | None = None
+    beta: Word | None = None
+    z0: float | None = None
+    z: float | None = None
+    w: Word | None = None
+    m: int | None = None
     rows: list[FlattenRow] = field(default_factory=list)
     candidates_total: int = 0
     n_used: int | None = None
@@ -93,11 +94,12 @@ class FlattenReport:
     c0: SupEstimate | None = None
     best_certified: float = math.inf
     best_v: Word | None = None
-    lemma1_violations: int = 0
-    suffix_violations: int = 0
+    # The four audit counts are None when the escape search stops at its cap.
+    lemma1_violations: int | None = 0
+    suffix_violations: int | None = 0
     lemma1_min_slack: float = math.inf
-    theta_audit_checked: int = 0
-    theta_audit_violations: int = 0
+    theta_audit_checked: int | None = 0
+    theta_audit_violations: int | None = 0
     theoretical_n: int | None = None
     notes: tuple[str, ...] = ()
     # W at grid.points(), where every C0 check and the theta audit start.
@@ -244,7 +246,9 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
 
     Returns a report whose status is ``success`` once some pulled-back pair
     has certified sup displacement below ``2 * epsilon``; hitting the level or
-    candidate caps yields ``cap_exhausted`` with the best word found so far.
+    candidate caps yields ``cap_exhausted`` with the best word found so far,
+    and hitting the escape cap yields it with no word, the stop reason and
+    the best point reached in ``notes``.
 
     An accepted v = W^-1 g1^-1 g2 W is not the identity by construction, with
     no point scanned: g1 != g2 are sequences over alpha and beta, positive
@@ -278,7 +282,14 @@ def flatten(f: GeneratorMap, g: GeneratorMap, cert: PingPongCertificate,
 
     # Deepened zone: the case maps move points by at most theta_n^4 in zone.
     zone = Interval(1.0 - delta * theta_n ** -4, 1.0)
-    W = find_escape_word(S, 1.0 / N, zone, cap=params.escape_cap)
+    try:
+        W = find_escape_word(S, 1.0 / N, zone, cap=params.escape_cap)
+    except CapExhausted as exc:
+        return FlattenReport(
+            status="cap_exhausted", epsilon=epsilon, grid_n=N, theta_n=theta_n,
+            delta=delta, lemma1_violations=None, suffix_violations=None,
+            theta_audit_checked=None, theta_audit_violations=None,
+            notes=(f"stopped: {exc}", f"best escape point {exc.best:.17g}"))
 
     grid = GridSpec(N)
     xs = grid.points()

@@ -259,6 +259,39 @@ def test_probe_reports_thread_invariant_at_radius_12(S, x0):
         assert disp.zero_words > 0 and gap.zero_words > 0
 
 
+def full_scan_update(t, vals, n, offset=0):
+    """_MinTracker.update as it was: every block scanned for ZERO_TOL."""
+    zero = vals <= dl.action.ZERO_TOL
+    t.zero_count += int(np.count_nonzero(zero))
+    t.min_positive = min(t.min_positive, float(np.min(vals, where=~zero, initial=math.inf)))
+    k = int(np.argmin(vals))
+    if vals[k] < t.value:
+        t.value, t.where = float(vals[k]), (n, offset + k)
+
+
+def test_min_tracker_update_equals_a_full_scan():
+    # pp has no word at or below ZERO_TOL at x0 = 0.41; the wreath pair has
+    # some at 0.5; a NaN takes the scan as well.
+    blocks = []
+    for S, x0 in ((PP, 0.41), (WREATH, 0.5)):
+        level = list(sphere_orbits(S, sphere_levels(S, 7), [x0], derivs=True))[-1]
+        blocks += [PROBE_KINDS[k][1](level, x0) for k in PROBE_KINDS]
+    assert np.min(blocks[0]) > dl.action.ZERO_TOL and np.min(blocks[1]) > dl.action.ZERO_TOL
+    assert np.min(blocks[2]) == 0.0 and np.min(blocks[3]) <= dl.action.ZERO_TOL
+    nan = blocks[0].copy()
+    nan[[5, 700]] = math.nan
+    blocks.append(nan)
+    for vals in blocks:
+        for first in (None, 1e-3, 0.0):  # fresh, and after an earlier block
+            ours, ref = _MinTracker(), _MinTracker()
+            if first is not None:
+                ours.update(np.array([first]), 1)
+                full_scan_update(ref, np.array([first]), 1)
+            ours.update(vals, 7, 11)
+            full_scan_update(ref, vals, 7, 11)
+            assert repr(vars(ours)) == repr(vars(ref))
+
+
 def test_min_tracker_blocks_equal_whole_array():
     block = 4
     cases = [
@@ -407,18 +440,47 @@ def test_fill_level_windows_equal_the_whole_level(S):
 
 
 def test_sphere_orbits_clip_values_as_orbit_does(monkeypatch):
-    # A letter that overshoots 1 is clipped before the next letter reads it.
-    value = dl.action.letter_value
+    # A letter that overshoots 1 is clipped before the next letter reads it,
+    # whether its values come from letter_value or, with derivatives, from
+    # letter_step.
+    value, step = dl.action.letter_value, dl.action.letter_step
+
+    def overshoot(y):
+        return y * (1.0 + 1e-9)
+
     monkeypatch.setattr(dl.action, "letter_value",
-                        lambda g, sign, x: value(g, sign, x) * (1.0 + 1e-9))
+                        lambda g, sign, x: overshoot(value(g, sign, x)))
+    monkeypatch.setattr(dl.action, "letter_step", lambda g, sign, x: (
+        lambda y, d: (overshoot(y), d))(*step(g, sign, x)))
     starts = [1.0 - 1e-12, 0.41]
     levels = sphere_levels(PP, 4)
-    for m, level in enumerate(sphere_orbits(PP, levels, starts, derivs=True), 1):
-        for i in range(levels[m].size):
-            w = level_word(levels, m, i, PP)
-            ys, ds = word_values_derivs(w, starts, PP)
-            assert [a[i] for a in level] == [*ys, *ds]
-            assert level[0][i] == word_values(w, starts[:1], PP)[0] == 1.0
+    for derivs in (True, False):
+        for m, level in enumerate(sphere_orbits(PP, levels, starts, derivs=derivs), 1):
+            for i in range(levels[m].size):
+                w = level_word(levels, m, i, PP)
+                ys, ds = word_values_derivs(w, starts, PP)
+                assert [a[i] for a in level] == [*ys, *ds][:len(level)]
+                assert level[0][i] == word_values(w, starts[:1], PP)[0] == 1.0
+
+
+def test_word_values_applies_letters_to_row_blocks(monkeypatch):
+    # Points past _PARALLEL_MIN reach the letters in row blocks, on one
+    # thread, and each block gets the bits it gets alone.
+    pools, sizes = [], []
+    blocks, value = dl.action.map_row_blocks, dl.action.letter_value
+    monkeypatch.setattr(dl.action, "map_row_blocks", lambda fn, rows, threads, *args:
+                        pools.append((rows, threads)) or blocks(fn, rows, threads, *args))
+    monkeypatch.setattr(dl.action, "letter_value",
+                        lambda g, sign, x: sizes.append(x.size) or value(g, sign, x))
+    w = dl.word_from_text("f g^-1 f^-1 g g f", PP)
+    xs = RNG.uniform(0.0, 1.0, (3, _PARALLEL_MIN // 2 + 5))
+    got = word_values(w, xs, PP)
+    assert pools == [(xs.size, 1)] and max(sizes) == _PARALLEL_MIN
+    flat = xs.reshape(-1)
+    alone = [word_values(w, flat[a:a + _PARALLEL_MIN], PP) for a in (0, _PARALLEL_MIN)]
+    assert got.shape == xs.shape
+    assert np.array_equal(got.reshape(-1).view(np.uint64), np.concatenate(alone).view(np.uint64))
+    assert np.array_equal(word_values(EMPTY, xs, PP), xs)
 
 
 @pytest.mark.parametrize("threads", [1, 3])

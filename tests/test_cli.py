@@ -323,15 +323,31 @@ def test_searches_run_on_the_requested_threads(tmp_path, monkeypatch, command):
 
 
 def test_escape_cap_exit_reports_the_best_point(tmp_path, capsys):
+    # The escape search stops at its cap: lab exits 2 and still writes both
+    # flatten tables, with the status, the stop reason and the best point.
     cfg = tmp_path / "cap.ini"
     cfg.write_text("[experiment]\ncommand = flatten\n\n[generators]\npreset = pp\n\n"
                    "[flatten]\nepsilon = 0.1\nescape_cap = 3\n")
-    assert main(["flatten", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    out = capsys.readouterr().out
-    assert not (tmp_path / "o").exists() and out.rstrip().endswith("-> no files")
+    out = tmp_path / "o"
+    assert main(["flatten", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("flatten cap_exhausted best=inf ")
     f, g = dl.build_pp().generators
     cert = dl.check_pingpong(f, g, dl.Interval(*dl.PP_I), dl.Interval(*dl.PP_J))
+    report = flatten(f, g, cert, 0.1, FlattenParams(0.1, escape_cap=3))
+    assert report.status == "cap_exhausted" and report.w is None and not report.rows
+    zone = dl.Interval(1.0 - report.delta * report.theta_n ** -4, 1.0)
     with pytest.raises(dl.CapExhausted) as exc:
-        flatten(f, g, cert, 0.1, FlattenParams(0.1, escape_cap=3))
-    assert 0.0 < exc.value.best < 1.0
-    assert f"cap exhausted: escape search cap exhausted best={exc.value.best!r} " in out
+        dl.find_escape_word(dl.GeneratorSet([f, g]), 1.0 / report.grid_n, zone, cap=3)
+    assert 0.0 < exc.value.best < zone.lo
+    assert report.notes == ("stopped: escape search cap exhausted",
+                            f"best escape point {exc.value.best:.17g}")
+    assert sorted(os.listdir(out)) == ["flatten_detail.csv", "flatten_summary.csv"]
+    assert (out / "flatten_summary.csv").read_text() == "n,candidates,buckets,best_certified,status\n"
+    with open(out / "flatten_detail.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["status"] == "cap_exhausted" and row["w"] == row["v"] == row["m"] == ""
+    audits = ("lemma1_violations", "suffix_violations", "theta_audit_checked",
+              "theta_audit_violations")
+    assert [row[k] for k in audits] == [""] * 4  # nothing was audited
+    assert row["notes"] == "; ".join(report.notes)
+    assert float(row["grid_n"]) == report.grid_n and float(row["delta"]) == report.delta

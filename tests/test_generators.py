@@ -15,7 +15,8 @@ from diffeolab.generators import (BISECT_STEPS, INVERSE_TOL, NEWTON_STEPS,
                                   SCALAR_INVERSE_MAX, TREE_DEPTH, _invert_monotone,
                                   _segment_deriv_extrema, _spline_deriv, _spline_inverse,
                                   _spline_inverse_scalar, _spline_value, _table_leaves,
-                                  build_pp, blend, mobius, polybump, spline)
+                                  build_pp, blend, letter_deriv, letter_step,
+                                  letter_value, mobius, polybump, spline)
 from diffeolab.errors import ConstructionError, DomainError, NumericError
 from diffeolab.zassenhaus import build_wreath_pair
 
@@ -562,7 +563,8 @@ def test_bisection_never_moves_past_the_right_knot(monkeypatch, newton_steps):
     monkeypatch.setattr(generators, "_leaf_solve", unsettled)
     ref = bits(whole_spline_solve(d, ys, resolve_all=True))
     assert np.array_equal(bits(_spline_inverse(d, ys)), ref)
-    one_point_blocks = [generators._spline_inverse_block(d, ys[k:k + 1]) for k in range(ys.size)]
+    one_point_blocks = [generators._spline_inverse_block(d, ys[k:k + 1])[0]
+                        for k in range(ys.size)]
     assert np.array_equal(bits(np.concatenate(one_point_blocks)), ref)
 
 
@@ -617,7 +619,7 @@ def test_an_array_inverse_is_one_block_call(monkeypatch, n):
 
     d = build_pp()["g"]._spline
     ys = np.random.default_rng(n).random(n)
-    ref = bits(block(d, ys))
+    ref = bits(block(d, ys)[0])
     monkeypatch.setattr(generators, "_spline_inverse_block", spy)
     assert np.array_equal(bits(_spline_inverse(d, ys)), ref)
     assert sizes == [n]
@@ -686,26 +688,33 @@ def test_stored_subtrees_give_the_whole_spline_solve(name, d):
 def test_live_steps_test_the_right_knot_only_from_a_segments_last_leaf(monkeypatch, name, d):
     # Each Newton step is clipped to its leaf, so an iterate reaches the
     # right knot x1 only from a leaf whose hi is x1: a segment's last leaf.
-    # The float below each interior knot's value lies in that last leaf.
+    # The patch is handed exactly those points, and every point of the
+    # block that meets its own segment's x1 is among them.  The float below
+    # each interior knot's value lies in that last leaf.
     depth, keys, _ = d.tree
     y = np.concatenate([np.random.default_rng(19).random(9000), np.nextafter(d.ys[1:-1], 0.0)])
-    last = (np.searchsorted(keys, y) - 1) % (1 << depth) == (1 << depth) - 1
-    hits = []
+    leaf = np.searchsorted(keys, y) - 1
+    last = leaf % (1 << depth) == (1 << depth) - 1
+    calls, block_x1 = [], {}
     patch = generators._patch_at_knot
 
-    def spy(x, x1, *args):
-        hits.append(np.flatnonzero(x == x1))
-        return patch(x, x1, *args)
+    def spy(x, edge, *args):
+        calls.append((edge.copy(), np.flatnonzero(x == block_x1["x1"])))
+        return patch(x, edge, *args)
 
     monkeypatch.setattr(generators, "_patch_at_knot", spy)
-    for block, in_last in ((y[~last], last[~last]), (y, last)):
+    for keep in (~last, np.ones(y.size, bool)):
+        block, in_last = y[keep], last[keep]
+        block_x1["x1"] = d.xs[1:][leaf[keep] >> depth]
         ref = bits(whole_spline_solve(d, block))
-        hits.clear()
+        calls.clear()
         assert np.array_equal(bits(_spline_inverse(d, block)), ref)
-        assert len(hits) == NEWTON_STEPS + 1
-        assert all(in_last[k].all() for k in hits)
+        assert len(calls) == NEWTON_STEPS + 1
+        for edge, hits in calls:
+            assert np.array_equal(edge, np.flatnonzero(in_last))
+            assert np.isin(hits, edge).all()
     if name == "right_knot":  # the cubic ends below y1: Newton meets x1
-        assert sum(k.size for k in hits) > 0
+        assert sum(hits.size for _, hits in calls) > 0
 
 
 def test_sorted_route_fails_closed_on_nan():
@@ -768,3 +777,49 @@ def test_bucket_index_fails_closed_on_nan(n):
         assert np.any(bad[1:] < bad[:-1])
         with pytest.raises(NumericError):
             _spline_inverse(d, bad)
+
+
+def step_maps():
+    """Every family, the route splines and the right-knot spline as maps."""
+    t = spline("t", [(0.0, 0.0), (0.5, 0.5), (0.5 + 1e-14, 0.5 + 1e-14), (1.0, 1.0)])
+    knot = dataclasses.replace(t, id="right_knot", _spline=right_knot_spline())
+    return all_test_maps() + spline_maps()[2:] + [dataclasses.replace(t, id="narrow"), knot]
+
+
+def step_points(g):
+    """Random points, then every knot abscissa and value and the floats 1 ulp
+    either side; on the right-knot spline also the values whose roots lie
+    on its short segment's right knot."""
+    knots = np.array([0.0, 0.5, 1.0])
+    if g._spline is not None:
+        knots = np.concatenate([g._spline.xs, g._spline.ys])
+    near = np.concatenate([knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0)])
+    pts = [np.random.default_rng(37).random(3000), np.clip(near, 0.0, 1.0)]
+    if g.id == "right_knot":
+        pts.append(g._spline.ys[3] - np.linspace(1e-14, 4e-13, 40))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("gmap", step_maps(), ids=lambda g: g.id)
+def test_letter_step_is_bitwise_letter_value_and_deriv(gmap):
+    # The point by point route (up to SCALAR_INVERSE_MAX points), a sorted
+    # block (searchsorted), an unsorted one (the bucket index) and a 2-D one.
+    pts = step_points(gmap)
+    blocks = [pts[-SCALAR_INVERSE_MAX:], pts[-SCALAR_INVERSE_MAX - 1:], np.sort(pts), pts,
+              pts[:3000].reshape(30, 100)]
+    for sign in (1, -1):
+        for x in blocks:
+            y, d = letter_step(gmap, sign, x)
+            ref = letter_value(gmap, sign, x)
+            assert np.array_equal(bits(y), bits(ref))
+            assert np.array_equal(bits(d), bits(letter_deriv(gmap, sign, x, np.clip(ref, 0.0, 1.0))))
+            assert y.shape == d.shape == x.shape
+        for x in (blocks[0], pts):
+            bad = x.copy()
+            bad[len(bad) // 2] = math.nan
+            with pytest.raises(DomainError):
+                letter_step(gmap, sign, bad)
+    if gmap.id == "right_knot":  # some roots lie on a right knot: the next segment's slope
+        x = gmap.inverse(pts)
+        assert np.any(np.isin(x, gmap._spline.xs[1:-1]) & ~np.isin(pts, gmap._spline.ys))
+
