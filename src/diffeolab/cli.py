@@ -18,8 +18,8 @@ from .certify import Interval, check_endpoint_slopes, check_pingpong, \
     positive_pair_separation, scan_endpoint_delta
 from .config import (COMMANDS, ExperimentConfig, build_generator_set, fval,
                      ival, load_config, pair_val, wreath_args)
-from .errors import (CapExhausted, ConfigError, ConstructionError, DomainError,
-                     NumericError, PreconditionError)
+from .errors import (ConfigError, ConstructionError, DomainError, NumericError,
+                     PreconditionError)
 from .words import growth_stats
 from .zassenhaus import (CollisionParams, FlattenParams, TransportParams,
                          derivative_collision_search, flatten,
@@ -60,8 +60,11 @@ def _flatten_cmd(cfg: ExperimentConfig, out_dir: str) -> tuple[int, list, str]:
                  escape_cap="escape_cap", grid_n="grid_n"))
     report = flatten(f, g, cert, params.epsilon, params, threads=cfg.threads)
     paths = reports.emit_flatten(report, out_dir)
+    # With no escape word the notes hold the stop reason and the best point.
+    found = ("; ".join(report.notes) if report.w is None
+             else f"best={report.best_certified:.6g}")
     return (STATUS_OK if report.status == "success" else STATUS_EXHAUSTED,
-            paths, f"flatten {report.status} best={report.best_certified:.6g}")
+            paths, f"flatten {report.status} {found}")
 
 
 def _transport_cmd(cfg: ExperimentConfig, out_dir: str):
@@ -190,10 +193,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     except (ConfigError, OSError) as exc:
         return RunResult(STATUS_CONFIG, [], time.monotonic() - start,
                          f"config error: {exc}")
-    except CapExhausted as exc:
-        best = "" if exc.best is None else f" best={exc.best!r}"
-        return RunResult(STATUS_EXHAUSTED, [], time.monotonic() - start,
-                         f"cap exhausted: {exc}{best}")
     except (PreconditionError, DomainError, ConstructionError,
             NumericError) as exc:
         return RunResult(STATUS_PRECONDITION, [], time.monotonic() - start,

@@ -330,7 +330,7 @@ def test_escape_cap_exit_reports_the_best_point(tmp_path, capsys):
                    "[flatten]\nepsilon = 0.1\nescape_cap = 3\n")
     out = tmp_path / "o"
     assert main(["flatten", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().out.startswith("flatten cap_exhausted best=inf ")
+    line = capsys.readouterr().out
     f, g = dl.build_pp().generators
     cert = dl.check_pingpong(f, g, dl.Interval(*dl.PP_I), dl.Interval(*dl.PP_J))
     report = flatten(f, g, cert, 0.1, FlattenParams(0.1, escape_cap=3))
@@ -341,6 +341,7 @@ def test_escape_cap_exit_reports_the_best_point(tmp_path, capsys):
     assert 0.0 < exc.value.best < zone.lo
     assert report.notes == ("stopped: escape search cap exhausted",
                             f"best escape point {exc.value.best:.17g}")
+    assert line.startswith(f"flatten cap_exhausted {'; '.join(report.notes)} ")
     assert sorted(os.listdir(out)) == ["flatten_detail.csv", "flatten_summary.csv"]
     assert (out / "flatten_summary.csv").read_text() == "n,candidates,buckets,best_certified,status\n"
     with open(out / "flatten_detail.csv") as fh:

@@ -1,7 +1,7 @@
 """Write ``BENCH_<n>.json``: paired end-to-end runs of a parent commit and
 the working tree.
 
-    python3 tools/bench_pairs.py --number 25 --seed 2501 --pairs 5 --seconds 40 \
+    python3 tools/bench_pairs.py --number 25 --seed 2501 --pairs 10 --seconds 40 \
         --tier1 3 --change "what the change does"
 
 Run from anywhere inside the repository; it needs only the standard library
@@ -13,8 +13,8 @@ given), so the repository itself is left as it is.  For each workload of
 in even pairs and the change first in odd ones, and reads the JSON object on
 the last line of its output.  With ``--tier1 K`` the Tier-1 suite then runs
 K times per side, alternating, and its wall times are recorded.  ``--extra``
-merges the keys of a JSON object file into the result, for measurements
-taken by hand.
+names a JSON file of measurements taken by hand; it goes in whole under
+``hand_measured``, so it cannot replace anything the tool measured.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def compare(metric: dict, parent_runs: list, change_runs: list) -> dict:
                                    for p, c in zip(parent_runs, change_runs)),
         "within_bound": (change["median"] <= limit if sense == "lower"
                          else change["median"] >= limit),
+        # A gain counts only if the medians differ by more than the parent's spread.
+        "beyond_parent_iqr": abs(change["median"] - parent["median"])
+                             > parent["q3"] - parent["q1"],
         "parent_runs": parent_runs, "change_runs": change_runs,
     }
 
@@ -126,18 +129,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--parent", default="HEAD")
-    parser.add_argument("--workloads", nargs="*", default=None)
     parser.add_argument("--tier1", type=int, default=0, help="Tier-1 runs per side")
     parser.add_argument("--change", default="", help="one line on what the change does")
-    parser.add_argument("--extra", default=None, help="JSON object file to merge in")
+    parser.add_argument("--extra", default=None,
+                        help="JSON file of hand measurements, kept under hand_measured")
     parser.add_argument("--scratch", default=None, help="where the parent's files go")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     parent_commit = git("rev-parse", args.parent)
     holder = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.scratch))
     trees = {"parent": unpack(parent_commit, holder), "change": ROOT}
@@ -154,7 +156,7 @@ def main(argv=None) -> int:
            "environment": environment(), "pairs": {},
            "operations": {"attempted": 0, "failed": 0}, "end_to_end": {}}
     try:
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             seeds = [args.seed + k for k in range(args.pairs)]
             firsts = [SIDES[k % 2] for k in range(args.pairs)]
             runs = {side: [] for side in SIDES}
@@ -184,7 +186,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(holder, ignore_errors=True)
     if args.extra:
-        out.update(json.loads(Path(args.extra).read_text()))
+        out["hand_measured"] = json.loads(Path(args.extra).read_text())
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
