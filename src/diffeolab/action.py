@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .generators import (GeneratorSet, Letter, letter_bounds, letter_deriv,
-                         letter_step, letter_value)
+from .generators import GeneratorSet, Letter, letter_bounds, letter_step, letter_value
 from .words import Word, level_word, sphere_levels
 
 #: Orbit points may leave [0, 1] by at most this much before it is an error.
@@ -63,11 +62,13 @@ class OrbitTrace:
         return self.points[-1]
 
 
-def orbit(w: Word, xs, S: GeneratorSet):
+def orbit(w: Word, xs, S: GeneratorSet, derivs: bool = False):
     """Apply ``w`` to a float or an array letter by letter, suffix first.
 
-    Yields ``(g, sign, x, y)`` per letter: the letter's generator and sign,
-    the points it acts on and its values ``y`` there, clipped to [0, 1].  A
+    Yields ``(g, sign, x, y, dy)`` per letter: the letter's generator and
+    sign, the points it acts on and its values ``y`` there, clipped to
+    [0, 1].  With ``derivs``, ``dy`` is the letter's derivative at ``x``
+    from the same ``letter_step`` that gives ``y``; without, it is None.  A
     float that leaves [0, 1] by more than ``CLAMP_TOL`` raises; an array is
     clipped in place without a check.  ``y`` is the next letter's ``x``.
     """
@@ -75,14 +76,14 @@ def orbit(w: Word, xs, S: GeneratorSet):
     x = xs
     for letter in reversed(w.letters):
         g, sign = S[letter.gen], letter.sign
-        y = letter_value(g, sign, x)
+        y, dy = letter_step(g, sign, x) if derivs else (letter_value(g, sign, x), None)
         if not scalar:
             np.clip(y, 0.0, 1.0, out=y)
         elif y < -CLAMP_TOL or y > 1.0 + CLAMP_TOL:
             raise DomainError(f"orbit left [0,1] by more than {CLAMP_TOL}")
         else:
             y = min(max(y, 0.0), 1.0)
-        yield g, sign, x, y
+        yield g, sign, x, y, dy
         x = y
 
 
@@ -93,9 +94,9 @@ def apply_word(w: Word, x: float, S: GeneratorSet) -> OrbitTrace:
     x0 = float(x)
     pts = [x0]
     derivs = []
-    for g, sign, x, y in orbit(w, x0, S):
+    for _, _, _, y, dy in orbit(w, x0, S, derivs=True):
         pts.append(y)
-        derivs.append(letter_deriv(g, sign, x, y))
+        derivs.append(dy)
     return OrbitTrace(x0=x0, points=tuple(pts),
                       letter_derivs=tuple(derivs),
                       chain_product=math.prod(derivs, start=1.0))
@@ -112,25 +113,12 @@ def word_values(w: Word, xs: np.ndarray, S: GeneratorSet) -> np.ndarray:
 
     def block(a, b):
         y = flat[a:b]
-        for *_, y in orbit(w, y, S):
+        for *_, y, _ in orbit(w, y, S):
             pass
         flat[a:b] = y
 
     map_row_blocks(block, flat.size, 1)
     return ys
-
-
-def word_values_derivs(w: Word, xs: np.ndarray, S: GeneratorSet):
-    """Vectorized (w(xs), w'(xs)) by ``letter_step``: values clipped to
-    [0, 1] after each letter as ``orbit`` clips them, and the derivative a
-    sequential chain product."""
-    ys = np.array(xs, dtype=float)
-    ds = np.ones_like(ys)
-    for letter in reversed(w.letters):
-        ys, d = letter_step(S[letter.gen], letter.sign, ys)
-        ys = np.clip(ys, 0.0, 1.0)
-        ds *= d
-    return ys, ds
 
 
 def word_deriv_bounds(w: Word, S: GeneratorSet) -> tuple[float, float, float]:
@@ -186,7 +174,9 @@ def c1_dist_to_id(w: Word, grid: GridSpec, S: GeneratorSet) -> SupEstimate:
         if not math.isfinite(S[letter.gen].der_lip):
             raise PreconditionError(f"generator {letter.gen!r} lacks a finite der_lip")
     xs = grid.points()
-    ys, ds = word_values_derivs(w, xs, S)
+    ys, ds = xs, np.ones_like(xs)
+    for *_, ys, dy in orbit(w, xs, S, derivs=True):
+        ds *= dy
     disp = np.abs(ys - xs)
     gap = np.abs(ds - 1.0)
     grid_max = float(np.max(disp) + np.max(gap))

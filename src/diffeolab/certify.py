@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .action import word_values
 from .errors import DomainError, PreconditionError
-from .generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv,
-                         letter_value)
+from .generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv_range,
+                         letter_step)
 
 #: Rounding slop absorbed by certificate margins.
 RHO = 1e-9
@@ -116,16 +117,6 @@ class EndpointSlopeCheck:
     range_hi: float = math.nan
 
 
-def _letter_deriv_range(g: GeneratorMap, sign: int, lo: float, hi: float):
-    if sign > 0:
-        return g.deriv_range_on(lo, hi)
-    # Certified preimage of the zone, padded outward by the inverse tolerance.
-    p_lo = max(g.inverse(lo) - 1e-9, 0.0)
-    p_hi = min(g.inverse(hi) + 1e-9, 1.0)
-    d_lo, d_hi = g.deriv_range_on(p_lo, p_hi)
-    return 1.0 / d_hi, 1.0 / d_lo
-
-
 def check_endpoint_slopes(S: GeneratorSet, side: int, delta: float,
                           theta: float) -> EndpointSlopeCheck:
     if side not in (0, 1):
@@ -141,8 +132,8 @@ def check_endpoint_slopes(S: GeneratorSet, side: int, delta: float,
     worst_excess = -math.inf
     for g in S.generators:
         for sign in (1, -1):
-            r_lo, r_hi = _letter_deriv_range(g, sign, lo, hi)
-            sampled = letter_deriv(g, sign, xs, letter_value(g, sign, xs))
+            r_lo, r_hi = letter_deriv_range(g, sign, lo, hi)
+            sampled = letter_step(g, sign, xs)[1]
             r_lo = min(r_lo, float(np.min(sampled)))
             r_hi = max(r_hi, float(np.max(sampled)))
             ok = r_lo > 1.0 / theta and r_hi < theta
@@ -177,8 +168,6 @@ def scan_endpoint_delta(S: GeneratorSet, side: int, theta: float,
 def positive_pair_separation(S: GeneratorSet, w1, w2, I: Interval, J: Interval,
                              points_per_part: int = 1001) -> float:
     """Max |w1(x) - w2(x)| over a grid on I u J (certificate spot check)."""
-    from .action import word_values
-
     best = 0.0
     for part in (I, J):
         xs = np.linspace(part.lo, part.hi, points_per_part)

@@ -755,29 +755,36 @@ def letter_bounds(g: GeneratorMap, sign: int) -> tuple[float, float, float]:
             g.der_lip / g.der_inf ** 3)
 
 
+def letter_deriv_range(g: GeneratorMap, sign: int, lo: float, hi: float):
+    """Certified (min, max) of the letter's derivative over [lo, hi]: g's
+    own range, or for g^-1 the reciprocal of g's over the zone's preimage."""
+    if sign > 0:
+        return g.deriv_range_on(lo, hi)
+    # Certified preimage of the zone, padded outward by the inverse tolerance.
+    p_lo = max(g.inverse(lo) - 1e-9, 0.0)
+    p_hi = min(g.inverse(hi) + 1e-9, 1.0)
+    d_lo, d_hi = g.deriv_range_on(p_lo, p_hi)
+    return 1.0 / d_hi, 1.0 / d_lo
+
+
 def letter_value(g: GeneratorMap, sign: int, x):
     """The letter g (sign +1) or g^-1 (sign -1) at x."""
     return g.value(x) if sign > 0 else g.inverse(x)
 
 
-def letter_deriv(g: GeneratorMap, sign: int, x, y):
-    """The letter's derivative at x, given its value y there: g'(x) for g,
-    and 1 / g'(y) for g^-1, whose value y is the preimage already solved."""
-    return g.deriv(x) if sign > 0 else 1.0 / g.deriv(y)
-
-
 def letter_step(g: GeneratorMap, sign: int, x):
-    """The letter's values at the array x and its derivatives there, bitwise
-    ``letter_value(g, sign, x)`` and ``letter_deriv(g, sign, x, y)`` at those
-    values y clipped to [0, 1].
+    """The letter's values y at x and its derivatives there: ``letter_value(g,
+    sign, x)``, and g'(x) for g or 1 / g'(y) for g^-1, whose values y are
+    the preimages already solved, in [0, 1] for every family.
 
     A spline letter on more than ``SCALAR_INVERSE_MAX`` points finds each
-    point's segment once for both (``_spline_step``); its inverse values lie
-    in [0, 1] already.
+    point's segment once for both (``_spline_step``), with the same bits.  A
+    Python float has no ``size`` and takes the point route without a numpy
+    call.
     """
-    if g._spline is None or np.size(x) <= SCALAR_INVERSE_MAX:
+    if g._spline is None or getattr(x, "size", 1) <= SCALAR_INVERSE_MAX:
         y = letter_value(g, sign, x)
-        return y, letter_deriv(g, sign, x, np.clip(y, 0.0, 1.0))
+        return y, g.deriv(x) if sign > 0 else 1.0 / g.deriv(y)
     return _checked(partial(_spline_step, g._spline, sign), x, "x" if sign > 0 else "y")
 
 

@@ -39,8 +39,7 @@ from ..action import (GridSpec, SupEstimate, apply_word, budget_spent,
                       map_row_blocks, orbit, word_values)
 from ..certify import Interval, PingPongCertificate, scan_endpoint_delta
 from ..errors import CapExhausted, DomainError, PreconditionError
-from ..generators import (GeneratorMap, GeneratorSet, Letter, letter_deriv,
-                          letter_value)
+from ..generators import GeneratorMap, GeneratorSet, Letter, letter_step, letter_value
 from ..words import EMPTY, Word, concat_reduce, invert
 from .pairs import sorted_runs
 
@@ -416,10 +415,10 @@ def _final_audits(report: FlattenReport, S: GeneratorSet, grid: GridSpec,
                        report.w_grid[1:-1], grid.interior_points(), S)
     lo = 1.0 - delta
     checked = violations = 0
-    for gmap, sign, x, y in orbit(h1_inv, pts, S):
+    for gmap, sign, x, *_ in orbit(h1_inv, pts, S):
         in_zone = x >= lo
         if np.any(in_zone):
-            ds = letter_deriv(gmap, sign, x[in_zone], y[in_zone])
+            ds = letter_step(gmap, sign, x[in_zone])[1]
             checked += len(ds)
             violations += int(np.count_nonzero(
                 (ds <= 1.0 / theta_n) | (ds >= theta_n)))

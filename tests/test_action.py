@@ -10,10 +10,11 @@ import pytest
 import diffeolab as dl
 from diffeolab.action import _PARALLEL_MIN, CLAMP_TOL, PROBE_KINDS, GridSpec, _fill_level, \
     _MinTracker, ProbeMin, apply_word, c0_dist_to_id, c1_dist_to_id, map_row_blocks, orbit, \
-    probe_ball, sphere_orbits, word_deriv_bounds, word_values, word_values_derivs
-from diffeolab.generators import Letter, build_pp, mobius, polybump
+    probe_ball, sphere_orbits, word_deriv_bounds, word_values
+from diffeolab.generators import Letter, blend, build_pp, mobius, polybump
 from diffeolab.words import EMPTY, Word, enumerate_sphere, level_word, reduce_letters, \
     sphere_levels, sphere_size
+from mp_words import word_value_deriv
 
 PP = build_pp()
 SMOOTH = dl.GeneratorSet([mobius("f", 1.6), polybump("g", 1.2)])
@@ -28,6 +29,16 @@ def random_word(S, max_len, rng):
                  if not letters or a != letters[-1].inverse()]
         letters.append(cands[int(rng.integers(len(cands)))])
     return reduce_letters(letters)
+
+
+def orbit_derivs(w, xs, S):
+    """(w(xs), w'(xs)) of an array: ``orbit``'s last values with derivatives,
+    and the sequential product of its letter derivatives."""
+    ys = np.array(xs, dtype=float)
+    ds = np.ones_like(ys)
+    for *_, ys, dy in orbit(w, ys, S, derivs=True):
+        ds *= dy
+    return ys, ds
 
 
 def test_empty_word_identity():
@@ -87,10 +98,86 @@ def test_scalar_and_array_orbits_agree_bitwise(S):
         w = random_word(S, 32, rng)
         x = float(rng.uniform(0.0, 1.0))
         tr = apply_word(w, x, S)
-        ys = [x] + [float(y[0]) for *_, y in orbit(w, np.array([x]), S)]
+        ys = [x] + [float(y[0]) for *_, y, _ in orbit(w, np.array([x]), S)]
         assert list(tr.points) == ys
         assert tr.value == word_values(w, [x], S)[0]
-        assert tr.chain_product == word_values_derivs(w, [x], S)[1][0]
+        assert tr.chain_product == orbit_derivs(w, [x], S)[1][0]
+
+
+FAMILIES = dl.GeneratorSet([mobius("m", 1.6), polybump("p", 1.2), PP["f"],
+                            blend("b", PP["g"], 0.05)])
+_KNOTS = np.concatenate([np.r_[g._spline.xs, g._spline.ys]
+                         for g in FAMILIES.generators if g._spline is not None])
+#: Every knot abscissa and value of FAMILIES' splines and the floats 1 ulp
+#: either side, then an even grid, 4,001 points in all.
+NEAR_KNOTS = np.unique(np.clip(np.r_[_KNOTS, np.nextafter(_KNOTS, 0.0),
+                                     np.nextafter(_KNOTS, 1.0)], 0.0, 1.0))
+FAMILY_POINTS = np.r_[NEAR_KNOTS, np.linspace(0.0, 1.0, 4001 - NEAR_KNOTS.size)]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def reference_steps(w, x, S):
+    """Per letter of w from x, (y, dy) by the letter rule spelled out: y is
+    g(x) or g^-1(x) clipped to [0, 1], and dy is g'(x), or 1 / g'(y)."""
+    steps = []
+    for letter in reversed(w.letters):
+        g = S[letter.gen]
+        if letter.sign > 0:
+            y, dy = np.clip(g.value(x), 0.0, 1.0), g.deriv(x)
+        else:
+            y = np.clip(g.inverse(x), 0.0, 1.0)
+            dy = 1.0 / g.deriv(y)
+        steps.append((y, dy))
+        x = y
+    return steps
+
+
+def test_orbit_derivatives_are_the_letter_rule_bitwise():
+    # Every family, both signs, Python floats and arrays of 1, 16, 17 and
+    # 4,001 points, each knot value and its neighbours in every block size.
+    rng = np.random.default_rng(2601)
+    words = [Word((a,)) for a in FAMILIES.alphabet]
+    words += [random_word(FAMILIES, 8, rng) for _ in range(8)]
+    blocks = [FAMILY_POINTS[a:a + size] for size in (1, 16, 17)
+              for a in range(0, NEAR_KNOTS.size, size)] + [FAMILY_POINTS]
+    grid = GridSpec(4000)
+    for w in words:
+        for xs in blocks:
+            steps = reference_steps(w, xs, FAMILIES)
+            got = [(y, dy) for *_, y, dy in orbit(w, xs.copy(), FAMILIES, derivs=True)]
+            assert [_bits(a) for a in got] == [_bits(a) for a in steps]
+            assert all(dy is None for *_, dy in orbit(w, xs.copy(), FAMILIES))
+        for x in NEAR_KNOTS[::3].tolist():
+            tr, steps = apply_word(w, x, FAMILIES), reference_steps(w, x, FAMILIES)
+            assert _bits(tr.points) == _bits([x] + [y for y, _ in steps])
+            assert _bits(tr.letter_derivs) == _bits([dy for _, dy in steps])
+            assert _bits(tr.chain_product) == _bits(math.prod([dy for _, dy in steps]))
+        xs = grid.points()
+        ys, ds = xs, np.ones_like(xs)
+        for ys, dy in reference_steps(w, xs, FAMILIES):
+            ds = ds * dy
+        disp, gap = np.abs(ys - xs), np.abs(ds - 1.0)
+        grid_max = float(np.max(disp) + np.max(gap))
+        assert c1_dist_to_id(w, grid, FAMILIES) == dl.SupEstimate(
+            grid_max=grid_max,
+            certified_bound=grid_max + grid.tau * (1.0 + word_deriv_bounds(w, FAMILIES)[2]),
+            grid=grid, argmax_x=float(xs[int(np.argmax(disp + gap))]))
+
+
+@pytest.mark.parametrize("S", [PP, dl.build_wreath_pair(0.1, (0.40, 0.42), 3).generator_set],
+                         ids=["pp", "wreath"])
+def test_apply_word_matches_a_50_digit_oracle(S):
+    # The float orbit against mp_words' evaluation of the same float splines.
+    rng = np.random.default_rng(2602)
+    for _ in range(15):
+        w, x = random_word(S, 20, rng), float(rng.uniform(0.0, 1.0))
+        tr = apply_word(w, x, S)
+        value, deriv = word_value_deriv(w, x, S, dps=50)
+        assert abs(tr.value - value) <= 1e-13
+        assert abs(tr.chain_product - deriv) <= 1e-12 * abs(deriv)
 
 
 class _Overshoot(dl.GeneratorMap):
@@ -111,7 +198,7 @@ def test_clamp_tol_raises_on_floats_and_clips_arrays(over):
     else:
         assert apply_word(w, 1.0, S).points == (1.0, 1.0, 1.0)
     assert word_values(w, [0.5, 1.0], S)[1] == 1.0
-    ys, ds = word_values_derivs(w, [1.0], S)
+    ys, ds = orbit_derivs(w, [1.0], S)
     assert (ys[0], ds[0]) == (1.0, 1.0)
 
 
@@ -173,7 +260,7 @@ def test_word_deriv_bounds_sound():
         w = random_word(PP, 6, RNG)
         inf, sup, lip = word_deriv_bounds(w, PP)
         xs = np.linspace(0.0, 1.0, 2001)
-        _, ds = dl.action.word_values_derivs(w, xs, PP)
+        _, ds = orbit_derivs(w, xs, PP)
         assert np.min(ds) >= inf - 1e-9
         assert np.max(ds) <= sup + 1e-9
         quot = np.abs(np.diff(ds)) / np.diff(xs)
@@ -253,7 +340,7 @@ def test_probe_reports_thread_invariant_at_radius_12(S, x0):
     # The argmin words reproduce the minima, so block offsets are right.
     disp, gap = one.minima["displacement"], one.minima["deriv_gap"]
     assert abs(word_values(disp.argmin, [x0], S)[0] - x0) == disp.value
-    ds = word_values_derivs(gap.argmin, [x0], S)[1]
+    ds = orbit_derivs(gap.argmin, [x0], S)[1]
     assert abs(ds[0] - 1.0) == pytest.approx(gap.value, rel=1e-9, abs=1e-13)
     if S is WREATH:  # words acting trivially at x0 give exact zeros
         assert disp.zero_words > 0 and gap.zero_words > 0
@@ -442,7 +529,7 @@ def test_fill_level_windows_equal_the_whole_level(S):
 def test_sphere_orbits_clip_values_as_orbit_does(monkeypatch):
     # A letter that overshoots 1 is clipped before the next letter reads it,
     # whether its values come from letter_value or, with derivatives, from
-    # letter_step.
+    # letter_step, in sphere_orbits as under orbit(..., derivs=True).
     value, step = dl.action.letter_value, dl.action.letter_step
 
     def overshoot(y):
@@ -458,7 +545,7 @@ def test_sphere_orbits_clip_values_as_orbit_does(monkeypatch):
         for m, level in enumerate(sphere_orbits(PP, levels, starts, derivs=derivs), 1):
             for i in range(levels[m].size):
                 w = level_word(levels, m, i, PP)
-                ys, ds = word_values_derivs(w, starts, PP)
+                ys, ds = orbit_derivs(w, starts, PP)
                 assert [a[i] for a in level] == [*ys, *ds][:len(level)]
                 assert level[0][i] == word_values(w, starts[:1], PP)[0] == 1.0
 

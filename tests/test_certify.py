@@ -85,3 +85,37 @@ def test_endpoint_slopes_validation():
 def test_interval_validation():
     with pytest.raises(dl.DomainError):
         Interval(0.5, 0.5)
+
+
+def old_sampling(g, sign, x):
+    """The endpoint scan's sample as it was before it took ``letter_step``:
+    the letter's values y, then g'(x), or 1 / g'(y) at the unclipped y."""
+    y = g.value(x) if sign > 0 else g.inverse(x)
+    return y, g.deriv(x) if sign > 0 else 1.0 / g.deriv(y)
+
+
+@pytest.mark.parametrize("pair", [(0.1, (0.40, 0.42), 3), (0.05, (0.40, 0.41), 3), None],
+                         ids=["wreath", "wreath_fine", "pp"])
+def test_endpoint_slopes_sample_bitwise_as_before(monkeypatch, pair):
+    # At flatten's theta_N for eps 0.2, 0.1 and 0.05 (N = 6, 11, 21), over
+    # every delta that scan_endpoint_delta tries on either side.
+    S = PP if pair is None else dl.build_wreath_pair(*pair).generator_set
+    checks = 0
+    for n in (6, 11, 21):
+        theta = 0.5 * (1.0 + 2.0 ** (1.0 / (2 * n)))
+        for side in (0, 1):
+            delta = 0.25
+            while True:
+                new = check_endpoint_slopes(S, side, delta, theta)
+                with monkeypatch.context() as m:
+                    m.setattr(dl.certify, "letter_step", old_sampling)
+                    old = check_endpoint_slopes(S, side, delta, theta)
+                assert (new.passed, new.worst_letter) == (old.passed, old.worst_letter)
+                assert np.array([new.range_lo, new.range_hi]).tobytes() == \
+                    np.array([old.range_lo, old.range_hi]).tobytes()
+                checks += 1
+                if new.passed:
+                    break
+                delta *= 0.5
+            assert delta == scan_endpoint_delta(S, side, theta)
+    assert checks > 6

@@ -14,7 +14,7 @@ import pytest
 import diffeolab as dl
 from diffeolab.action import GridSpec, apply_word, c0_dist_to_id, orbit, word_values
 from diffeolab.certify import Interval
-from diffeolab.generators import SCALAR_INVERSE_MAX, build_pp, letter_deriv, mobius
+from diffeolab.generators import SCALAR_INVERSE_MAX, build_pp, mobius
 from diffeolab.reports import emit_flatten
 from diffeolab.zassenhaus import (FlattenParams, choose_case, find_escape_word,
                                   flatten, pigeonhole_bound)
@@ -413,12 +413,14 @@ def _bits(a):
 
 
 def _zone_derivs(rep, grid):
-    """In-zone letter derivatives of the theta audit, with W applied whole."""
+    """In-zone letter derivatives of the theta audit, with W applied whole:
+    g'(x) for g, and 1 / g'(y) at the orbit's clipped value y for g^-1."""
     pts = word_values(concat_reduce(rep.g2, rep.w), grid.interior_points(), PP)
     out = []
-    for gmap, sign, x, y in orbit(invert(concat_reduce(rep.g1, rep.w)), pts, PP):
+    for gmap, sign, x, y, _ in orbit(invert(concat_reduce(rep.g1, rep.w)), pts, PP):
         zone = x >= 1.0 - rep.delta
-        out.extend(letter_deriv(gmap, sign, x[zone], y[zone]).tolist())
+        ds = gmap.deriv(x[zone]) if sign > 0 else 1.0 / gmap.deriv(y[zone])
+        out.extend(ds.tolist())
     return out
 
 

@@ -122,12 +122,13 @@ def test_readers_finds_each_scope():
     ("_fill_level", "diffeolab/action.py:sphere_orbits"),
     ("leaf_buckets", "diffeolab/generators.py:_table_leaves"),
     ("_PARALLEL_MIN", "diffeolab/action.py:map_row_blocks"),
+    ("deriv", "diffeolab/generators.py:letter_step"),
 ])
 def test_one_helper_reads_the_primitive(name, reader):
     # One bucket sort for flatten and collision, one thread-chunking helper,
     # one sphere propagator for transport, collision and the probe, one
-    # bucket-index lookup for the array spline inverse, and one block size,
-    # read where arrays are cut.
+    # bucket-index lookup for the array spline inverse, one block size,
+    # read where arrays are cut, and one letter derivative rule.
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     assert readers(sources, name) == {reader}
 

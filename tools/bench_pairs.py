@@ -1,20 +1,21 @@
 """Write ``BENCH_<n>.json``: paired end-to-end runs of a parent commit and
 the working tree.
 
-    python3 tools/bench_pairs.py --number 25 --seed 2501 --pairs 10 --seconds 40 \
-        --tier1 3 --change "what the change does"
+    python3 tools/bench_pairs.py --number 25 --seed 2501 --pairs 10 --tier1 3 \
+        --change "what the change does"
 
 Run from anywhere inside the repository; it needs only the standard library
 and ``git``.  The parent commit's files (``--parent``, default ``HEAD``) are
 unpacked with ``git archive`` into a fresh directory (under ``--scratch`` if
 given), so the repository itself is left as it is.  For each workload of
 ``BENCHMARK.json``, pair k runs ``python3 perfbench/run.py --workload W
---seed <seed + k> --seconds S --trace 0`` once in each tree, the parent first
-in even pairs and the change first in odd ones, and reads the JSON object on
-the last line of its output.  With ``--tier1 K`` the Tier-1 suite then runs
-K times per side, alternating, and its wall times are recorded.  ``--extra``
-names a JSON file of measurements taken by hand; it goes in whole under
-``hand_measured``, so it cannot replace anything the tool measured.
+--seed <seed + k> --seconds S --trace 0``, S being its ``run_seconds``, once
+in each tree, the parent first in even pairs and the change first in odd
+ones, and reads the JSON object on the last line of its output.  With
+``--tier1 K`` the Tier-1 suite then runs K times per side, alternating, and
+its wall times are recorded.  ``--extra`` names a JSON file of measurements
+taken by hand; it goes in whole under ``hand_measured``, so it cannot
+replace anything the tool measured.
 """
 
 from __future__ import annotations
@@ -130,7 +131,6 @@ def main(argv=None) -> int:
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--tier1", type=int, default=0, help="Tier-1 runs per side")
     parser.add_argument("--change", default="", help="one line on what the change does")
@@ -140,6 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     parent_commit = git("rev-parse", args.parent)
     holder = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.scratch))
     trees = {"parent": unpack(parent_commit, holder), "change": ROOT}
@@ -147,7 +148,7 @@ def main(argv=None) -> int:
            "change_commit": "the commit that adds this file (its parent_commit plus this change)",
            "method": {
                "end_to_end": (f"python3 perfbench/run.py --workload W --seed S --seconds "
-                              f"{args.seconds:g} --trace 0, on the parent's files unpacked by "
+                              f"{seconds:g} --trace 0, on the parent's files unpacked by "
                               "git archive and on the change's working tree; pairs alternate "
                               "which side runs first and both sides of a pair use the same "
                               "seed (tools/bench_pairs.py)"),
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
             runs = {side: [] for side in SIDES}
             for seed, first in zip(seeds, firsts):
                 for side in (first, SIDES[first == "parent"]):
-                    result = perf_run(trees[side], workload, seed, args.seconds)
+                    result = perf_run(trees[side], workload, seed, seconds)
                     out["operations"]["attempted"] += result["attempted"]
                     out["operations"]["failed"] += result["failed"]
                     runs[side].append(result["metrics"])
