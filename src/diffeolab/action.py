@@ -12,11 +12,13 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .generators import GeneratorSet, Letter, letter_bounds, letter_step, letter_value
+from .generators import INVERSE_TOL, GeneratorSet, Letter, letter_bounds, letter_step, \
+    letter_value
 from .words import Word, level_word, sphere_levels
 
 #: Orbit points may leave [0, 1] by at most this much before it is an error.
@@ -228,19 +230,25 @@ def map_row_blocks(fn, rows: int, threads: int, width: int = 1) -> list:
 
 
 def _fill_level(S: GeneratorSet, lev, prev, outs, start: int,
-                derivs: bool) -> None:
+                derivs: bool, keep=None):
     """Write rows ``start .. start + len(outs[0])`` of sphere level ``lev``
-    into ``outs``, reading the previous level's arrays ``prev``.
+    into ``outs``, reading the previous level's arrays ``prev``, and return
+    the rows written.
 
     Both hold per start point the values, then, with ``derivs``, per start
     point the derivatives.  A row's value is its leading letter at its
     suffix row's value, clipped to [0, 1] in place as ``orbit`` clips
     arrays; its derivative is that letter's derivative there times the
     suffix row's, in ``apply_word``'s multiply order.  With ``derivs`` one
-    ``letter_step`` gives both.
+    ``letter_step`` gives both.  With ``keep``, a suffix slice ``src`` (its
+    rows of ``prev``) of a letter g^sign evaluates only the rows where
+    ``keep(g, sign, src)`` is true; the rows written then fill the front of
+    ``outs`` in row order and come back as an array of their ids.  The
+    kernels work element by element, so a kept row has the same bits.
     """
     stop = start + len(outs[0])
     k = len(prev) // (1 + derivs)
+    done, kept = 0, []
     for s, letter in enumerate(S.alphabet):
         g, sign = S[letter.gen], letter.sign
         for rows, src in lev.suffix_slices(s):
@@ -248,18 +256,27 @@ def _fill_level(S: GeneratorSet, lev, prev, outs, start: int,
             if a >= b:
                 continue
             part = slice(src.start + a - rows.start, src.start + b - rows.start)
+            xs = [p[part] for p in prev]
+            if keep is not None:
+                sel = np.flatnonzero(keep(g, sign, xs))
+                xs = [x[sel] for x in xs]
+                kept.append(sel + a)
+            if not len(xs[0]):
+                continue
+            out = slice(done, done + len(xs[0]))
+            done = out.stop
             for i in range(k):
-                x = prev[i][part]
                 if derivs:
-                    y, dy = letter_step(g, sign, x)
-                    np.multiply(dy, prev[k + i][part], out=outs[k + i][a - start:b - start])
+                    y, dy = letter_step(g, sign, xs[i])
+                    np.multiply(dy, xs[k + i], out=outs[k + i][out])
                 else:
-                    y = letter_value(g, sign, x)
-                np.clip(y, 0.0, 1.0, out=outs[i][a - start:b - start])
+                    y = letter_value(g, sign, xs[i])
+                np.clip(y, 0.0, 1.0, out=outs[i][out])
+    return range(start, stop) if keep is None else np.concatenate(kept)
 
 
 def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
-                  threads: int = 1, fold=None):
+                  threads: int = 1, fold=None, keep=None):
     """Propagate start points through sphere levels 1, 2, ... lazily.
 
     For each level m it yields the whole level's arrays (row order of
@@ -268,9 +285,10 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
     derivative its ``apply_word`` ``chain_product`` bitwise.  Level m + 1
     starts from the yielded arrays, so a caller that changes them in place
     propagates that.  With ``fold``, each row block goes to
-    ``fold(m, a, part)`` as soon as it is filled, and level m yields the
-    per-block results in block order; the last level is then never stored:
-    its blocks fill arrays of their own.
+    ``fold(m, rows, part)`` as soon as it is filled, ``rows`` being its row
+    ids, and level m yields the per-block results in block order; the last
+    level is then never stored: its blocks fill arrays of their own, and
+    with ``keep`` they hold only the rows that ``_fill_level`` keeps.
     """
     prev = [np.array([float(x)]) for x in starts]
     prev += [np.ones(1) for _ in starts] if derivs else []
@@ -281,8 +299,8 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
         def block(a, b):
             part = ([np.empty(b - a) for _ in prev] if outs is None
                     else [o[a:b] for o in outs])
-            _fill_level(S, lev, prev, part, a, derivs)
-            return fold(m, a, part) if fold else None
+            rows = _fill_level(S, lev, prev, part, a, derivs, keep if last else None)
+            return fold(m, rows, [p[:len(rows)] for p in part]) if fold else None
 
         found = map_row_blocks(block, lev.size, threads)
         prev = outs
@@ -291,12 +309,50 @@ def sphere_orbits(S: GeneratorSet, levels, starts, *, derivs: bool = False,
 
 # -- ball probes ---------------------------------------------------------------
 
+def _near_x0(g, sign, src, x0, t):
+    """Suffix rows whose value y is not provably outside the window
+    s^-1([x0 - t - p, x0 + t + p]), widened by p, of the letter s = g^sign;
+    the ends come from s^-1, a side whose end leaves (0, 1) is not pruned,
+    and NaN is kept.
+
+    p = 2E, E bounding either letter's error: an inverse x passes the
+    residual check |g(x) - y| <= ``INVERSE_TOL``, g(x) rounded by under
+    1e-15, so x is off by at most that over der_inf; a forward letter by a
+    few ulps.  So a row below the window has s(y) < x0 - t - p, and s's
+    computed value, clipped or not, lies below x0 - t; above it likewise,
+    with x0 + t < 1.  Either way the rounded |value - x0| is at least t.
+    """
+    p = 2.0 * (INVERSE_TOL + 1e-15) * letter_bounds(g, -1)[1]
+    lo, hi = x0 - t - p, x0 + t + p
+    lo = letter_value(g, -sign, lo) - p if lo > 0.0 else -math.inf
+    hi = letter_value(g, -sign, hi) + p if hi < 1.0 else math.inf
+    return ~((src[0] < lo) | (src[0] > hi))
+
+
+def _gap_within(g, sign, src, x0, t):
+    """Suffix rows whose derivative d is not provably outside the window
+    that |d * s' - 1| < t needs, s' anywhere in (inf, sup) =
+    ``letter_bounds(g, sign)``: neither d * sup * (1 + eta) < 1 - t - eta
+    nor d * inf * (1 - eta) > 1 + t + eta, with eta = 1e-9.  NaN is kept.
+    A computed letter derivative, and its product with d, are off by a few
+    ulps relative, far inside eta, so a pruned row's rounded |d * s' - 1|
+    is at least t.
+    """
+    inf, sup, _ = letter_bounds(g, sign)
+    eta = 1e-9
+    d = src[1]
+    return ~((d * (sup * (1.0 + eta)) < 1.0 - t - eta)
+             | (d * (inf * (1.0 - eta)) > 1.0 + t + eta))
+
+
 #: The probed quantities: each kind's (derivatives needed, measure of one
-#: ``sphere_orbits`` row block at base point x0).  A block holds the values,
-#: then, with derivatives, the derivatives.
+#: ``sphere_orbits`` row block at base point x0, and the suffix rows that a
+#: letter g^sign must still evaluate for the measure to come below t).  A
+#: block, like the suffix rows ``src`` of ``keep(g, sign, src, x0, t)``,
+#: holds the values, then, with derivatives, the derivatives.
 PROBE_KINDS = {
-    "displacement": (False, lambda part, x0: np.abs(part[0] - x0)),
-    "deriv_gap": (True, lambda part, x0: np.abs(part[1] - 1.0)),
+    "displacement": (False, lambda part, x0: np.abs(part[0] - x0), _near_x0),
+    "deriv_gap": (True, lambda part, x0: np.abs(part[1] - 1.0), _gap_within),
 }
 
 #: Words whose probe value falls at or below this act trivially at x0 for all
@@ -350,11 +406,14 @@ class _MinTracker:
         self.zero_count = 0
         self.min_positive = math.inf
 
-    def update(self, vals: np.ndarray, n: int, offset: int = 0):
-        """Fold in level ``n``'s rows ``offset, offset + 1, ...``; blocks of a
-        level must come in row order, so ties keep the first row.  Only a
-        block whose minimum is at or below ``ZERO_TOL``, or NaN, is scanned
-        for such values; otherwise that minimum is the positive floor."""
+    def update(self, vals: np.ndarray, n: int, rows=0):
+        """Fold in level ``n``'s rows ``rows`` (their ids, or the first of
+        consecutive ones); blocks of a level must come in row order, so ties
+        keep the first row, and a block may hold no rows.  Only a block
+        whose minimum is at or below ``ZERO_TOL``, or NaN, is scanned for
+        such values; otherwise that minimum is the positive floor."""
+        if not len(vals):
+            return self
         k = int(np.argmin(vals))
         low = vals[k]
         if not low > ZERO_TOL:
@@ -364,7 +423,7 @@ class _MinTracker:
         self.min_positive = min(self.min_positive, float(low))
         if vals[k] < self.value:
             self.value = float(vals[k])
-            self.where = (n, offset + k)
+            self.where = (n, rows + k if isinstance(rows, int) else int(rows[k]))
         return self
 
     def merge(self, other: "_MinTracker"):
@@ -388,6 +447,18 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, kinds=tuple(PROBE_KINDS),
     propagated only when a kind needs them.  Like the searches, the probe
     checks ``time_budget_s`` before each level; a probe stopped by it or by
     ``cap`` is not ``complete``.
+
+    The outermost level evaluates only the rows that some kind's
+    ``PROBE_KINDS`` row rule keeps at t, that kind's positive floor through
+    the levels before (with t = inf every row is kept).  A pruned row's
+    measure, as computed, is at least t for every kind: the rules leave
+    margins of twice a letter kernel's error, which the inverse's residual
+    check bounds by E = (``INVERSE_TOL`` + 1e-15) / der_inf, and eta = 1e-9
+    on the relative rounding of derivatives, and rounding never takes a
+    value below the float t.  Since t > ``ZERO_TOL`` and t is no less than
+    the running minimum, which only a strictly smaller value moves, such a
+    row changes no minimum, argmin (ties keep the earlier row), floor or
+    zero count.
     """
     if not kinds or not set(kinds) <= PROBE_KINDS.keys():
         raise PreconditionError(f"probe kinds must be of {', '.join(PROBE_KINDS)}")
@@ -399,15 +470,22 @@ def probe_ball(S: GeneratorSet, n: int, x0: float, *, kinds=tuple(PROBE_KINDS),
         raise DomainError("x0 outside [0, 1]")
     spent = budget_spent(time_budget_s)
     levels = sphere_levels(S, n, cap=cap)
+    trackers = {k: _MinTracker() for k in kinds}
 
-    def fold(m, a, part):
-        return {k: _MinTracker().update(PROBE_KINDS[k][1](part, x0), m, a)
+    def fold(m, rows, part):
+        return {k: _MinTracker().update(PROBE_KINDS[k][1](part, x0), m, rows)
                 for k in kinds}
+
+    def keep(g, sign, src):
+        # Called on the outermost level only, while the trackers hold the
+        # levels before it.
+        return reduce(np.logical_or, (
+            PROBE_KINDS[k][2](g, sign, src, x0, t.min_positive)
+            for k, t in trackers.items()))
 
     orbits = sphere_orbits(S, levels, [x0],
                            derivs=any(PROBE_KINDS[k][0] for k in kinds),
-                           threads=threads, fold=fold)
-    trackers = {k: _MinTracker() for k in kinds}
+                           threads=threads, fold=fold, keep=keep)
     rows = []
     for m in range(1, len(levels)):
         if spent():

@@ -381,13 +381,19 @@ def _closest_same_bucket(rows, width, threads=1):
     """(bucket count, closest adjacent same-bucket pair or None) of ``rows``.
 
     Rows are keyed by ``floor(row / width)``, one column at a time, and
-    ``sorted_runs`` sorts them by key, ties by the raw first value.  The
-    pair is the first adjacent same-bucket pair of least L-inf distance,
+    ``sorted_runs`` sorts them by key, ties by the raw first value.  Only
+    the key columns that vary are kept: a constant one cannot change the
+    stable sort or the same-bucket mask (a NaN never equals itself, so a
+    column with one is kept), and with none left the sort is the tie sort.
+    The pair is the first adjacent same-bucket pair of least L-inf distance,
     as sorted row indices; only those pairs are measured, block by block.
     """
-    keys = np.empty((rows.shape[1], len(rows)))
-    for c in range(len(keys)):
-        np.floor(np.divide(rows[:, c], width, out=keys[c]), out=keys[c])
+    keys = []
+    for c in range(rows.shape[1]):
+        key = np.divide(rows[:, c], width)
+        np.floor(key, out=key)
+        if not np.all(key == key[:1]):
+            keys.append(key)
     order, same = sorted_runs(keys, tie=(rows[:, 0],))
     del keys                             # free before the distance blocks
     ks = np.flatnonzero(same)            # sorted rows k, k + 1 share a bucket

@@ -11,7 +11,7 @@ import diffeolab as dl
 from diffeolab.action import _PARALLEL_MIN, CLAMP_TOL, PROBE_KINDS, GridSpec, _fill_level, \
     _MinTracker, ProbeMin, apply_word, c0_dist_to_id, c1_dist_to_id, map_row_blocks, orbit, \
     probe_ball, sphere_orbits, word_deriv_bounds, word_values
-from diffeolab.generators import Letter, blend, build_pp, mobius, polybump
+from diffeolab.generators import Letter, blend, build_pp, mobius, polybump, spline
 from diffeolab.words import EMPTY, Word, enumerate_sphere, level_word, reduce_letters, \
     sphere_levels, sphere_size
 from mp_words import word_value_deriv
@@ -476,6 +476,105 @@ def test_probe_ties_in_the_outermost_level_keep_the_first_row(monkeypatch):
     rep = probe_ball(S, 4, 0.0, kinds=("deriv_gap",), threads=1)
     assert rep.minima["deriv_gap"] == gap
     assert gap.zero_words == 16
+
+
+def unpruned_probe(S, n, x0, kinds):
+    """``probe_ball`` as a fold of whole ``sphere_orbits`` levels, every row
+    of every level measured, through ``_MinTracker``."""
+    levels = sphere_levels(S, n)
+    trackers = {k: _MinTracker() for k in kinds}
+    rows = []
+    for m, level in enumerate(sphere_orbits(S, levels, [x0], derivs=True), 1):
+        for k, t in trackers.items():
+            t.update(PROBE_KINDS[k][1](level, x0), m)
+        rows.append((m, {k: t.value for k, t in trackers.items()}))
+    minima = {k: ProbeMin(t.value, level_word(levels, *t.where, S),
+                          None if math.isinf(t.min_positive) else t.min_positive,
+                          t.zero_count)
+              for k, t in trackers.items()}
+    return dl.ProbeReport(x0=x0, n=n, complete=True, minima=minima, rows=tuple(rows))
+
+
+@pytest.mark.parametrize("S, n, x0", [(PP, 13, 0.41), (PP, 13, 0.35), (PP, 13, 0.62),
+                                      (WREATH, 12, 0.405)],
+                         ids=["pp-0.41", "pp-0.35", "pp-0.62", "wreath"])
+def test_pruned_outermost_level_gives_the_unpruned_report(S, n, x0):
+    both = unpruned_probe(S, n, x0, tuple(PROBE_KINDS))
+    for kinds in (tuple(PROBE_KINDS), *((k,) for k in PROBE_KINDS)):
+        ref = dataclasses.replace(
+            both, minima={k: both.minima[k] for k in kinds},
+            rows=tuple((m, {k: mins[k] for k in kinds}) for m, mins in both.rows))
+        for threads in (1, 3):
+            assert probe_ball(S, n, x0, kinds=kinds, threads=threads) == ref
+
+
+def test_pruned_outermost_level_applies_few_letters(monkeypatch):
+    # The floor from radius 12 rules out most of level 13 before any letter.
+    levels = sphere_levels(PP, 13)
+    points, step = [], dl.action.letter_step
+    monkeypatch.setattr(dl.action, "letter_step",
+                        lambda g, sign, x: points.append(x.size) or step(g, sign, x))
+    probe_ball(PP, 13, 0.41)
+    outermost = sum(points) - sum(lev.size for lev in levels[1:13])
+    assert 0 < outermost < 0.1 * levels[13].size
+
+
+def test_pruned_rows_are_sound_where_letter_slopes_are_small(monkeypatch):
+    # End slopes of 1e-3 make der_inf 1e-3, so the inverse's error bound E,
+    # not rounding, sets the margins; tiny blocks leave many of the
+    # outermost level's blocks with no row kept.
+    S = dl.GeneratorSet([
+        spline("a", [(0, 0), (0.2, 0.45), (0.8, 0.7), (1, 1)], end_slopes=(1e-3, 1e-3)),
+        spline("b", [(0, 0), (0.3, 0.1), (0.6, 0.35), (1, 1)], end_slopes=(1e-3, 1e-3))])
+    assert max(g.der_inf for g in S.generators) <= 1e-3
+    monkeypatch.setattr(dl.action, "_PARALLEL_MIN", 8)
+    kept, fill = [], dl.action._fill_level
+
+    def counted(*args):
+        rows = fill(*args)
+        if args[-1] is not None:
+            kept.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(dl.action, "_fill_level", counted)
+    empty = dict.fromkeys(["displacement", "deriv_gap", "both"], 0)
+    for x0 in (0.05, 0.41, 0.9):
+        disp, gap, running = brute_probe(S, 6, x0)
+        brute = {"displacement": disp, "deriv_gap": gap}
+        for kinds in (tuple(PROBE_KINDS), *((k,) for k in PROBE_KINDS)):
+            for threads in (1, 3):
+                kept.clear()
+                rep = probe_ball(S, 6, x0, kinds=kinds, threads=threads)
+                assert rep.minima == {k: brute[k] for k in kinds}
+                assert rep.rows == tuple((m, {k: mins[k] for k in kinds})
+                                         for m, mins in running)
+                assert len(kept) == -(-sphere_size(2, 6) // 8)
+                empty[kinds[0] if len(kinds) == 1 else "both"] += kept.count(0)
+    # Of 3 x 2 runs of 122 blocks each: the displacement's windows prune
+    # nearly every row, the derivative bounds (1e-3 to 3) far fewer.
+    assert empty["displacement"] > 0.9 * 6 * 122
+    assert empty["both"] == empty["deriv_gap"] > 0
+
+
+def test_fill_level_keeps_the_selected_rows_bitwise():
+    starts = [0.41]
+    levels = sphere_levels(PP, 7)
+    whole = list(sphere_orbits(PP, levels, starts, derivs=True))
+    lev, prev, level = levels[7], whole[5], whole[6]
+    rng = np.random.default_rng(7)
+    for window in (1, 7, 64, lev.size):
+        outs = [np.full(window, np.nan) for _ in prev]
+        for a in range(0, lev.size, window):
+            ids = _fill_level(PP, lev, prev, outs, a, True,
+                              keep=lambda g, sign, src: rng.random(len(src[0])) < 0.3)
+            stop = min(a + window, lev.size)
+            assert np.all(np.diff(ids) > 0) and np.all((a <= ids) & (ids < stop))
+            for o, w in zip(outs, level):
+                assert np.array_equal(o[:len(ids)], w[ids])
+        none = _fill_level(PP, lev, prev, outs, 0, True,
+                           keep=lambda g, sign, src: np.zeros(len(src[0]), bool))
+        assert len(none) == 0
+    assert _fill_level(PP, lev, prev, outs, 0, True) == range(0, lev.size)
 
 
 @pytest.mark.parametrize("S", [PP, WREATH], ids=["pp", "wreath"])

@@ -21,6 +21,7 @@ from diffeolab.zassenhaus import (FlattenParams, choose_case, find_escape_word,
 from diffeolab.words import EMPTY, concat_reduce, invert, word_from_text
 from diffeolab.zassenhaus.flatten import _candidate_word, _closest_same_bucket, \
     _final_audits, _values_past
+from diffeolab.zassenhaus.pairs import sorted_runs
 
 PP = build_pp()
 F, G = PP.generators
@@ -206,6 +207,32 @@ def test_bucket_pass_matches_the_reference(case, rows, cols, levels, width):
         for v in (values, values[:, ::-1]):
             assert _closest_same_bucket(v, width) == \
                 reference_closest_same_bucket(v, width)
+
+
+@pytest.mark.parametrize("case", ["mixed", "all constant", "nan"])
+def test_bucket_pass_drops_constant_key_columns_bitwise(case, monkeypatch):
+    # Multi-bucket lattice rows, so column 0 ties, with constant columns mixed
+    # in; the all-column reference sorts by every key.
+    rng = np.random.default_rng(sum(map(ord, case)))
+    values = bucket_rows(rng, 600, 4, 3)
+    values[:, 2] = Z0
+    const = np.full((600, 2), 1.0)
+    values = np.hstack([const[:, :1], values, const])
+    if case == "all constant":
+        values[:] = values[:1]
+    if case == "nan":  # a column constant but for one NaN stays a key
+        values[:, 0] = 1.0 - 1e-6
+        values[17, 0] = math.nan
+    sorted_keys = []
+    monkeypatch.setattr(importlib.import_module("diffeolab.zassenhaus.flatten"), "sorted_runs",
+                        lambda keys, tie: sorted_keys.append(len(keys)) or sorted_runs(keys, tie))
+    for width in (2e-5, 1e-5, 1.0):
+        assert _closest_same_bucket(values, width) == \
+            reference_closest_same_bucket(values, width)
+    # Only the three lattice columns vary, and at width 1 none does; the
+    # NaN column stays a key at every width.
+    assert sorted_keys == {"mixed": [3, 3, 0], "all constant": [0, 0, 0],
+                           "nan": [4, 4, 1]}[case]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
